@@ -8,6 +8,7 @@
 use crate::nfa::{Nfa, StateId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::Hash;
+use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 
 /// A complete deterministic finite automaton over symbols of type `A`.
 ///
@@ -21,67 +22,24 @@ pub struct Dfa<A> {
     finals: Vec<bool>,
 }
 
-impl<A: Clone + Eq + Hash> Dfa<A> {
-    /// Subset construction from an NFA, relative to `alphabet`.
+impl<A: Clone + Eq + Hash> Nfa<A> {
+    /// Subset construction relative to `alphabet`: the result is complete
+    /// over `alphabet`, and symbols outside it are assumed never to occur
+    /// (NFA transitions on them are ignored). Charges one fuel unit per
+    /// macro-state and per macro-transition, so an exponential subset
+    /// construction exhausts its budget instead of the host.
     ///
-    /// Symbols not in `alphabet` are assumed never to occur in inputs; NFA
-    /// transitions on them are ignored.
-    pub fn from_nfa(nfa: &Nfa<A>, alphabet: &[A]) -> Dfa<A> {
-        let sym_index: HashMap<&A, usize> =
-            alphabet.iter().enumerate().map(|(i, a)| (a, i)).collect();
-        let start: BTreeSet<StateId> = nfa.initial_states().iter().copied().collect();
-        let mut ids: HashMap<BTreeSet<StateId>, u32> = HashMap::new();
-        let mut queue = VecDeque::new();
-        let mut trans: Vec<Vec<u32>> = Vec::new();
-        let mut finals: Vec<bool> = Vec::new();
-        ids.insert(start.clone(), 0);
-        queue.push_back(start);
-        while let Some(set) = queue.pop_front() {
-            let id = ids[&set] as usize;
-            if trans.len() <= id {
-                trans.resize(id + 1, Vec::new());
-                finals.resize(id + 1, false);
-            }
-            finals[id] = set.iter().any(|&q| nfa.is_final(q));
-            let mut row = vec![0u32; alphabet.len()];
-            // Successor sets per alphabet symbol.
-            let mut succ: Vec<BTreeSet<StateId>> = vec![BTreeSet::new(); alphabet.len()];
-            for &q in &set {
-                for (a, r) in nfa.transitions_from(q) {
-                    if let Some(&i) = sym_index.get(a) {
-                        succ[i].insert(*r);
-                    }
-                }
-            }
-            for (i, s) in succ.into_iter().enumerate() {
-                let next = ids.len() as u32;
-                let next_id = *ids.entry(s.clone()).or_insert_with(|| {
-                    queue.push_back(s);
-                    next
-                });
-                row[i] = next_id;
-            }
-            trans[id] = row;
-        }
-        Dfa {
-            alphabet: alphabet.to_vec(),
-            trans,
-            finals,
-        }
-    }
-
-    /// Budgeted [`Self::from_nfa`]: charges one fuel unit per macro-state
-    /// and per macro-transition, so an exponential subset construction
-    /// exhausts its budget instead of the host.
-    pub fn try_from_nfa(
-        nfa: &Nfa<A>,
+    /// Inclusion and emptiness queries should use [`Nfa::included_in`]
+    /// instead and never pay for the subset space.
+    pub fn determinize(
+        &self,
         alphabet: &[A],
-        budget: &tpx_trees::budget::BudgetHandle,
-    ) -> Result<Dfa<A>, tpx_trees::budget::BudgetExceeded> {
+        budget: &BudgetHandle,
+    ) -> Result<Dfa<A>, BudgetExceeded> {
         budget.charge(1)?;
         let sym_index: HashMap<&A, usize> =
             alphabet.iter().enumerate().map(|(i, a)| (a, i)).collect();
-        let start: BTreeSet<StateId> = nfa.initial_states().iter().copied().collect();
+        let start: BTreeSet<StateId> = self.initial_states().iter().copied().collect();
         let mut ids: HashMap<BTreeSet<StateId>, u32> = HashMap::new();
         let mut queue = VecDeque::new();
         let mut trans: Vec<Vec<u32>> = Vec::new();
@@ -95,11 +53,11 @@ impl<A: Clone + Eq + Hash> Dfa<A> {
                 trans.resize(id + 1, Vec::new());
                 finals.resize(id + 1, false);
             }
-            finals[id] = set.iter().any(|&q| nfa.is_final(q));
+            finals[id] = set.iter().any(|&q| self.is_final(q));
             let mut row = vec![0u32; alphabet.len()];
             let mut succ: Vec<BTreeSet<StateId>> = vec![BTreeSet::new(); alphabet.len()];
             for &q in &set {
-                for (a, r) in nfa.transitions_from(q) {
+                for (a, r) in self.transitions_from(q) {
                     if let Some(&i) = sym_index.get(a) {
                         succ[i].insert(*r);
                     }
@@ -122,7 +80,9 @@ impl<A: Clone + Eq + Hash> Dfa<A> {
             finals,
         })
     }
+}
 
+impl<A: Clone + Eq + Hash> Dfa<A> {
     /// The alphabet this DFA is complete over.
     pub fn alphabet(&self) -> &[A] {
         &self.alphabet
@@ -322,7 +282,7 @@ mod tests {
         n.add_transition(q0, 'a', q0);
         n.add_transition(q0, 'b', q0);
         n.add_transition(q0, 'a', q1);
-        let d = n.determinize(&ab());
+        let d = n.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         for w in ["a", "ba", "aa", "bbba"] {
             assert!(d.accepts(&lit(w)), "{w}");
             assert!(n.accepts(&lit(w)), "{w}");
@@ -335,7 +295,7 @@ mod tests {
     #[test]
     fn complement_flips_membership() {
         let n = Nfa::word("ab".chars());
-        let d = n.determinize(&ab());
+        let d = n.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         let c = d.complement();
         assert!(d.accepts(&lit("ab")));
         assert!(!c.accepts(&lit("ab")));
@@ -347,7 +307,10 @@ mod tests {
     #[test]
     fn complement_rejects_out_of_alphabet() {
         let n = Nfa::word("a".chars());
-        let c = n.determinize(&ab()).complement();
+        let c = n
+            .determinize(&ab(), &BudgetHandle::unlimited())
+            .unwrap()
+            .complement();
         // 'z' is outside the alphabet: membership is simply false, by contract.
         assert!(!c.accepts(&lit("z")));
     }
@@ -360,7 +323,7 @@ mod tests {
             .union(&Nfa::word("ab".chars()))
             .union(&Nfa::word("ba".chars()))
             .union(&Nfa::word("bb".chars()));
-        let d = x.determinize(&ab());
+        let d = x.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         let m = d.minimize();
         assert!(m.state_count() <= d.state_count());
         assert_eq!(m.state_count(), 4); // q0, q1, accept, sink
@@ -375,27 +338,30 @@ mod tests {
 
     #[test]
     fn equivalence_distinguishes() {
-        let a = Nfa::word("a".chars()).determinize(&ab());
-        let b = Nfa::word("b".chars()).determinize(&ab());
+        let budget = BudgetHandle::unlimited();
+        let a = Nfa::word("a".chars()).determinize(&ab(), &budget).unwrap();
+        let b = Nfa::word("b".chars()).determinize(&ab(), &budget).unwrap();
         let a2 = Nfa::word("a".chars())
             .union(&Nfa::<char>::new())
-            .determinize(&ab());
+            .determinize(&ab(), &budget)
+            .unwrap();
         assert!(!a.equivalent(&b));
         assert!(a.equivalent(&a2));
     }
 
     #[test]
     fn empty_language_detected() {
-        let d = Nfa::<char>::new().determinize(&ab());
+        let budget = BudgetHandle::unlimited();
+        let d = Nfa::<char>::new().determinize(&ab(), &budget).unwrap();
         assert!(d.is_empty());
-        let e = Nfa::<char>::epsilon().determinize(&ab());
+        let e = Nfa::<char>::epsilon().determinize(&ab(), &budget).unwrap();
         assert!(!e.is_empty());
     }
 
     #[test]
     fn to_nfa_round_trip() {
         let n = Nfa::word("ab".chars()).star();
-        let d = n.determinize(&ab());
+        let d = n.determinize(&ab(), &BudgetHandle::unlimited()).unwrap();
         let back = d.to_nfa();
         for w in ["", "ab", "abab", "a", "ba"] {
             assert_eq!(n.accepts(&lit(w)), back.accepts(&lit(w)), "{w}");
@@ -437,7 +403,7 @@ mod tests {
             fn determinization_agrees_with_nfa(nfa in arb_nfa(),
                                                words in proptest::collection::vec(
                                                    proptest::collection::vec(prop_oneof![Just('a'), Just('b')], 0..6), 0..10)) {
-                let d = nfa.determinize(&['a', 'b']);
+                let d = nfa.determinize(&['a', 'b'], &BudgetHandle::unlimited()).unwrap();
                 let m = d.minimize();
                 for w in &words {
                     let expect = nfa.accepts(w);
@@ -450,7 +416,7 @@ mod tests {
             #[test]
             fn complement_is_involutive_and_disjoint(nfa in arb_nfa(),
                                                      w in proptest::collection::vec(prop_oneof![Just('a'), Just('b')], 0..6)) {
-                let d = nfa.determinize(&['a', 'b']);
+                let d = nfa.determinize(&['a', 'b'], &BudgetHandle::unlimited()).unwrap();
                 let c = d.complement();
                 prop_assert_ne!(d.accepts(&w), c.accepts(&w));
                 prop_assert!(c.complement().equivalent(&d));

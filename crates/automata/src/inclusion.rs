@@ -27,36 +27,19 @@
 //! shortest one — the witness quality the path-automaton callers
 //! (Lemma 4.8 / the text-retention analysis) surface to users.
 
+use crate::antichain::{bit_has, bit_set, Frontier};
 use crate::nfa::{Nfa, StateId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hash;
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 
-fn bit_has(bits: &[u64], q: StateId) -> bool {
-    bits[q.index() / 64] & (1 << (q.index() % 64)) != 0
-}
+/// How an explored pair was reached: the predecessor's frontier id and
+/// the symbol read (`None` for the initial pairs).
+type Prov<A> = Option<(usize, A)>;
 
-fn bit_set(bits: &mut [u64], q: StateId) {
-    bits[q.index() / 64] |= 1 << (q.index() % 64);
-}
-
-/// `a ⊆ b` on bitsets of equal length.
-fn is_subset(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x & !y == 0)
-}
-
-/// An explored `(A-state, exact B-state-set)` pair; `prov` is the
-/// predecessor arena id and the symbol that reached this pair (`None` for
-/// the initial pair).
-struct Pair<A> {
-    p: StateId,
-    set: Vec<u64>,
-    prov: Option<(usize, A)>,
-}
-
-fn decode<A: Clone>(pairs: &[Pair<A>], mut id: usize) -> Vec<A> {
+fn decode<A: Clone>(frontier: &Frontier<StateId, Prov<A>>, mut id: usize) -> Vec<A> {
     let mut w = Vec::new();
-    while let Some((parent, a)) = &pairs[id].prov {
+    while let Some((parent, a)) = &frontier[id].prov {
         w.push(a.clone());
         id = *parent;
     }
@@ -66,34 +49,21 @@ fn decode<A: Clone>(pairs: &[Pair<A>], mut id: usize) -> Vec<A> {
 
 impl<A: Clone + Eq + Hash> Nfa<A> {
     /// Whether `L(self) ⊆ L(other)` — decided lazily, without ever
-    /// determinizing `other`.
-    pub fn included_in(&self, other: &Nfa<A>) -> bool {
-        self.try_included_in(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::included_in`]: charges one fuel unit per explored
-    /// pair and per macro-step.
-    pub fn try_included_in(
+    /// determinizing `other`. Charges one fuel unit per explored pair and
+    /// per macro-step.
+    pub fn included_in(
         &self,
         other: &Nfa<A>,
         budget: &BudgetHandle,
     ) -> Result<bool, BudgetExceeded> {
-        Ok(self.try_inclusion_counterexample(other, budget)?.is_none())
+        Ok(self.inclusion_counterexample(other, budget)?.is_none())
     }
 
     /// A shortest word in `L(self) \ L(other)`, or `None` when
-    /// `L(self) ⊆ L(other)`.
-    pub fn inclusion_counterexample(&self, other: &Nfa<A>) -> Option<Vec<A>> {
-        self.try_inclusion_counterexample(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::inclusion_counterexample`]. Explores `(p, S)`
-    /// pairs breadth-first, prunes with a per-state antichain of
-    /// ⊆-minimal macro-states, and early-exits with a decoded word at the
-    /// first rejecting pair.
-    pub fn try_inclusion_counterexample(
+    /// `L(self) ⊆ L(other)`. Explores `(p, S)` pairs breadth-first, prunes
+    /// with a per-state antichain of ⊆-minimal macro-states, and
+    /// early-exits with a decoded word at the first rejecting pair.
+    pub fn inclusion_counterexample(
         &self,
         other: &Nfa<A>,
         budget: &BudgetHandle,
@@ -103,7 +73,7 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         let mut b_final_bits = vec![0u64; words];
         for q in other.states() {
             if other.is_final(q) {
-                bit_set(&mut b_final_bits, q);
+                bit_set(&mut b_final_bits, q.index());
             }
         }
         // `other`'s transitions indexed by (state, symbol), for the
@@ -115,78 +85,40 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
             }
         }
         let rejects = |set: &[u64]| set.iter().zip(&b_final_bits).all(|(s, f)| s & f == 0);
-
-        // Arena of explored pairs. `antichain[p]` holds the ids whose
-        // macro-state is ⊆-minimal among those interned for `p`;
-        // dominated entries leave the antichain (so future domination
-        // checks stay cheap) but their queued exploration is merely
-        // redundant, never unsound.
-        let mut pairs: Vec<Pair<A>> = Vec::new();
-        let mut antichain: HashMap<StateId, Vec<usize>> = HashMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let intern = |p: StateId,
-                      set: Vec<u64>,
-                      prov: Option<(usize, A)>,
-                      pairs: &mut Vec<Pair<A>>,
-                      antichain: &mut HashMap<StateId, Vec<usize>>,
-                      queue: &mut VecDeque<usize>|
-         -> Option<usize> {
-            let chain = antichain.entry(p).or_default();
-            if chain.iter().any(|&i| is_subset(&pairs[i].set, &set)) {
-                return None;
-            }
-            chain.retain(|&i| !is_subset(&set, &pairs[i].set));
-            let id = pairs.len();
-            chain.push(id);
-            pairs.push(Pair { p, set, prov });
-            queue.push_back(id);
-            Some(id)
-        };
+        let mut frontier: Frontier<StateId, Prov<A>> = Frontier::default();
 
         // The ε-word pair seeds the worklist: every A-initial state is
         // paired with the full B-initial macro-state.
         let mut seed = vec![0u64; words];
         for &b in other.initial_states() {
-            bit_set(&mut seed, b);
+            bit_set(&mut seed, b.index());
         }
         for &p in self.initial_states() {
             budget.charge(1)?;
-            if let Some(id) = intern(
-                p,
-                seed.clone(),
-                None,
-                &mut pairs,
-                &mut antichain,
-                &mut queue,
-            ) {
-                if self.is_final(p) && rejects(&pairs[id].set) {
-                    return Ok(Some(decode(&pairs, id)));
+            if let Some(id) = frontier.intern(p, seed.clone(), None) {
+                if self.is_final(p) && rejects(&frontier[id].set) {
+                    return Ok(Some(decode(&frontier, id)));
                 }
             }
         }
 
-        while let Some(id) = queue.pop_front() {
+        while let Some(id) = frontier.pop() {
             budget.charge(1)?;
-            let p = pairs[id].p;
+            let p = frontier[id].state;
             // The macro-successor depends only on (S, a), so compute it
             // once per symbol even when several A-transitions share one.
             let mut succ_memo: HashMap<&A, Vec<u64>> = HashMap::new();
-            let moves: Vec<(&A, StateId)> = self
-                .transitions_from(p)
-                .iter()
-                .map(|(a, r)| (a, *r))
-                .collect();
-            for (a, p2) in moves {
+            for (a, p2) in self.transitions_from(p) {
                 budget.charge(1)?;
                 let succ = succ_memo
                     .entry(a)
                     .or_insert_with(|| {
                         let mut out = vec![0u64; words];
                         for b in other.states() {
-                            if bit_has(&pairs[id].set, b) {
+                            if bit_has(&frontier[id].set, b.index()) {
                                 if let Some(rs) = b_idx.get(&(b, a)) {
                                     for &r in rs {
-                                        bit_set(&mut out, r);
+                                        bit_set(&mut out, r.index());
                                     }
                                 }
                             }
@@ -194,76 +126,14 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
                         out
                     })
                     .clone();
-                if let Some(nid) = intern(
-                    p2,
-                    succ,
-                    Some((id, a.clone())),
-                    &mut pairs,
-                    &mut antichain,
-                    &mut queue,
-                ) {
-                    if self.is_final(p2) && rejects(&pairs[nid].set) {
-                        return Ok(Some(decode(&pairs, nid)));
+                if let Some(nid) = frontier.intern(*p2, succ, Some((id, a.clone()))) {
+                    if self.is_final(*p2) && rejects(&frontier[nid].set) {
+                        return Ok(Some(decode(&frontier, nid)));
                     }
                 }
             }
         }
         Ok(None)
-    }
-
-    /// Budgeted [`Nfa::intersect`]: charges one fuel unit per product
-    /// state and per product transition, so a blowing-up product exhausts
-    /// its budget instead of the host.
-    pub fn try_intersect(
-        &self,
-        other: &Nfa<A>,
-        budget: &BudgetHandle,
-    ) -> Result<Nfa<A>, BudgetExceeded> {
-        budget.charge(1)?;
-        let mut out = Nfa::new();
-        let mut ids: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut stack = Vec::new();
-        for &p in self.initial_states() {
-            for &q in other.initial_states() {
-                budget.charge(1)?;
-                let id = *ids.entry((p, q)).or_insert_with(|| {
-                    stack.push((p, q));
-                    out.add_state()
-                });
-                out.set_initial(id);
-            }
-        }
-        while let Some((p, q)) = stack.pop() {
-            let id = ids[&(p, q)];
-            out.set_final(id, self.is_final(p) && other.is_final(q));
-            for (a, p2) in self.transitions_from(p) {
-                for (b, q2) in other.transitions_from(q) {
-                    if a == b {
-                        budget.charge(1)?;
-                        let next = *ids.entry((*p2, *q2)).or_insert_with(|| {
-                            stack.push((*p2, *q2));
-                            out.add_state()
-                        });
-                        out.add_transition(id, a.clone(), next);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Budgeted [`Nfa::determinize`]: the subset construction, charging
-    /// one fuel unit per macro-state and per macro-transition. Kept for
-    /// the derived operations that genuinely need the determinized
-    /// automaton as an object; inclusion/emptiness queries should use
-    /// [`Self::try_included_in`] instead and never pay for the subset
-    /// space.
-    pub fn try_determinize(
-        &self,
-        alphabet: &[A],
-        budget: &BudgetHandle,
-    ) -> Result<crate::dfa::Dfa<A>, BudgetExceeded> {
-        crate::dfa::Dfa::try_from_nfa(self, alphabet, budget)
     }
 }
 
@@ -303,22 +173,27 @@ mod tests {
     fn inclusion_verdicts() {
         let a = ends_in_a();
         let u = universal();
-        assert!(a.included_in(&u));
-        assert!(!u.included_in(&a));
-        assert!(a.included_in(&a));
-        assert!(u.included_in(&u));
+        let b = BudgetHandle::unlimited();
+        assert!(a.included_in(&u, &b).unwrap());
+        assert!(!u.included_in(&a, &b).unwrap());
+        assert!(a.included_in(&a, &b).unwrap());
+        assert!(u.included_in(&u, &b).unwrap());
     }
 
     #[test]
     fn counterexample_is_genuine_and_shortest() {
         let a = ends_in_a();
         let u = universal();
-        let w = u.inclusion_counterexample(&a).expect("u ⊄ ends_in_a");
+        let b = BudgetHandle::unlimited();
+        let w = u
+            .inclusion_counterexample(&a, &b)
+            .unwrap()
+            .expect("u ⊄ ends_in_a");
         assert!(u.accepts(&w));
         assert!(!a.accepts(&w));
         // ε is the shortest word in L(u) \ L(a).
         assert!(w.is_empty());
-        assert!(a.inclusion_counterexample(&u).is_none());
+        assert!(a.inclusion_counterexample(&u, &b).unwrap().is_none());
     }
 
     #[test]
@@ -326,20 +201,24 @@ mod tests {
         let a = ends_in_a();
         let u = universal();
         let ab = ['a', 'b'];
+        let b = BudgetHandle::unlimited();
         for (x, y) in [(&a, &u), (&u, &a), (&a, &a), (&u, &u)] {
             let eager = x
-                .intersect(&y.determinize(&ab).complement().to_nfa())
+                .intersect(&y.determinize(&ab, &b).unwrap().complement().to_nfa(), &b)
+                .unwrap()
                 .is_empty();
-            assert_eq!(x.included_in(y), eager);
+            assert_eq!(x.included_in(y, &b).unwrap(), eager);
         }
     }
 
     #[test]
     fn inclusion_against_empty_language() {
         let empty = Nfa::<char>::new();
-        assert!(empty.included_in(&ends_in_a()));
+        let b = BudgetHandle::unlimited();
+        assert!(empty.included_in(&ends_in_a(), &b).unwrap());
         let w = ends_in_a()
-            .inclusion_counterexample(&empty)
+            .inclusion_counterexample(&empty, &b)
+            .unwrap()
             .expect("nonempty ⊄ ∅");
         assert!(ends_in_a().accepts(&w));
         assert_eq!(w, lit("a"));
@@ -350,7 +229,7 @@ mod tests {
         let a = ends_in_a();
         let u = universal();
         let b = BudgetHandle::unlimited();
-        let i = a.try_intersect(&u, &b).unwrap();
+        let i = a.intersect(&u, &b).unwrap();
         for w in ["", "a", "ba", "ab", "bb"] {
             assert_eq!(i.accepts(&lit(w)), a.accepts(&lit(w)), "{w}");
         }
@@ -358,13 +237,14 @@ mod tests {
 
     #[test]
     fn try_determinize_matches_eager() {
+        let budget = BudgetHandle::unlimited();
         let a = ends_in_a();
         let ab = ['a', 'b'];
-        let d = a.try_determinize(&ab, &BudgetHandle::unlimited()).unwrap();
+        let d = a.determinize(&ab, &budget).unwrap();
         for w in ["", "a", "ba", "ab", "bb"] {
             assert_eq!(d.accepts(&lit(w)), a.accepts(&lit(w)), "{w}");
         }
-        assert!(d.equivalent(&a.determinize(&ab)));
+        assert!(d.equivalent(&a.determinize(&ab, &budget).unwrap()));
     }
 
     #[test]
@@ -373,17 +253,15 @@ mod tests {
         let a = ends_in_a();
         let u = universal();
         let gen = Budget::default().with_fuel(1_000_000).start();
-        assert!(a.try_included_in(&u, &gen).unwrap());
-        assert!(!u.try_included_in(&a, &gen).unwrap());
+        assert!(a.included_in(&u, &gen).unwrap());
+        assert!(!u.included_in(&a, &gen).unwrap());
         assert!(gen.fuel_spent() > 0, "the lazy ops must charge fuel");
         let z = Budget::default().with_fuel(0).start();
         for err in [
-            a.try_included_in(&u, &z).map(|_| ()).unwrap_err(),
-            a.try_inclusion_counterexample(&u, &z)
-                .map(|_| ())
-                .unwrap_err(),
-            a.try_intersect(&u, &z).map(|_| ()).unwrap_err(),
-            a.try_determinize(&['a', 'b'], &z).map(|_| ()).unwrap_err(),
+            a.included_in(&u, &z).map(|_| ()).unwrap_err(),
+            a.inclusion_counterexample(&u, &z).map(|_| ()).unwrap_err(),
+            a.intersect(&u, &z).map(|_| ()).unwrap_err(),
+            a.determinize(&['a', 'b'], &z).map(|_| ()).unwrap_err(),
         ] {
             assert_eq!(err.reason, ExhaustReason::Fuel);
         }

@@ -9,7 +9,13 @@
 //! `Σ ⊎ {text}` for path automata (Lemma 4.8), tree-automaton state sets `Q`
 //! for DTD/NTA content models, and product alphabets for the deciders of
 //! Section 4.3.
+//!
+//! Every operation that can blow up (products, subset constructions,
+//! saturations, inclusion and witness searches) takes a `&BudgetHandle`
+//! (from `tpx_trees::budget`) and returns a `Result`; it exists once, under
+//! its plain name. Callers without limits pass `&BudgetHandle::unlimited()`.
 
+pub mod antichain;
 pub mod dfa;
 pub mod inclusion;
 pub mod nfa;

@@ -32,6 +32,7 @@ use tpx_bench::{
 use tpx_workload::{chain_schema, transducers, xslt_corpus};
 
 fn engine_single(c: &mut Criterion) {
+    let unlimited = CheckOptions::unlimited();
     let mut g = c.benchmark_group("e10_single");
     g.sample_size(20);
     for n in [8usize, 32] {
@@ -43,13 +44,23 @@ fn engine_single(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("engine_cold", n), &n, |b, _| {
             b.iter(|| {
                 let engine = Engine::new();
-                black_box(engine.check(&TopdownDecider::new(&t), &schema))
+                black_box(
+                    engine
+                        .check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+                        .unwrap(),
+                )
             })
         });
         let warm = Engine::new();
-        warm.check(&TopdownDecider::new(&t), &schema);
+        warm.check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+            .unwrap();
         g.bench_with_input(BenchmarkId::new("engine_warm", n), &n, |b, _| {
-            b.iter(|| black_box(warm.check(&TopdownDecider::new(&t), &schema)))
+            b.iter(|| {
+                black_box(
+                    warm.check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+                        .unwrap(),
+                )
+            })
         });
     }
     g.finish();
@@ -74,7 +85,15 @@ fn engine_batch(c: &mut Criterion) {
     g.throughput(Throughput::Elements(tasks.len() as u64));
     for jobs in SCALING_JOBS {
         g.bench_with_input(BenchmarkId::new("check_many", jobs), &jobs, |b, &jobs| {
-            b.iter(|| black_box(Engine::with_jobs(jobs).check_many(&tasks)))
+            b.iter(|| {
+                black_box(
+                    Engine::with_jobs(jobs)
+                        .check_many_governed(&tasks, &CheckOptions::unlimited())
+                        .into_iter()
+                        .map(Result::unwrap)
+                        .collect::<Vec<_>>(),
+                )
+            })
         });
     }
     g.finish();
@@ -86,6 +105,7 @@ fn engine_batch(c: &mut Criterion) {
 /// analysis the engine fronts and a regression in one shows up as a
 /// divergence from its siblings rather than as ambient noise.
 fn engine_analyses(c: &mut Criterion) {
+    let unlimited = CheckOptions::unlimited();
     let mut g = c.benchmark_group("e10_analyses");
     g.sample_size(10);
     for n in [8usize, 32] {
@@ -93,18 +113,32 @@ fn engine_analyses(c: &mut Criterion) {
         let t = transducers::deep_selector(&alpha, n);
         let labels: Vec<_> = alpha.symbols().collect();
         g.bench_with_input(BenchmarkId::new("text_preservation", n), &n, |b, _| {
-            b.iter(|| black_box(Engine::new().check(&TopdownDecider::new(&t), &schema)))
+            b.iter(|| {
+                black_box(
+                    Engine::new()
+                        .check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+                        .unwrap(),
+                )
+            })
         });
         g.bench_with_input(BenchmarkId::new("text_retention", n), &n, |b, _| {
             b.iter(|| {
                 let decider = TextRetentionDecider::new(&t, labels.clone());
-                black_box(Engine::new().check(&decider, &schema))
+                black_box(
+                    Engine::new()
+                        .check_governed(&decider, &schema, &unlimited)
+                        .unwrap(),
+                )
             })
         });
         g.bench_with_input(BenchmarkId::new("conformance", n), &n, |b, _| {
             b.iter(|| {
                 let decider = OutputConformanceDecider::new(&t, &schema);
-                black_box(Engine::new().check(&decider, &schema))
+                black_box(
+                    Engine::new()
+                        .check_governed(&decider, &schema, &unlimited)
+                        .unwrap(),
+                )
             })
         });
     }
@@ -123,7 +157,13 @@ fn engine_symbolic(c: &mut Criterion) {
     for n in [1usize, 2] {
         let (schema, dtl) = symbolic_instance(n);
         g.bench_with_input(BenchmarkId::new("oneshot_symbolic", n), &n, |b, _| {
-            b.iter(|| black_box(Engine::new().check(&DtlDecider::new(&dtl), &schema)))
+            b.iter(|| {
+                black_box(
+                    Engine::new()
+                        .check_governed(&DtlDecider::new(&dtl), &schema, &CheckOptions::unlimited())
+                        .unwrap(),
+                )
+            })
         });
     }
     g.finish();
@@ -330,6 +370,7 @@ fn scaling_curve(results: &[tpx_bench::BenchRecord]) -> Option<Scaling> {
 /// CPU frequency and allocator drift between two *separate* benchmark
 /// runs dwarfs the cost of the handful of spans a check emits.
 fn measure_overhead() -> Overhead {
+    let unlimited = CheckOptions::unlimited();
     // The workload must dwarf the cost of the handful of spans a check
     // emits, or the comparison measures timer noise: chain-32 costs tens
     // of milliseconds per check even after the §13 speedups (chain-8 fell
@@ -347,11 +388,19 @@ fn measure_overhead() -> Overhead {
     let mut traced = Vec::with_capacity(pairs);
     for _ in 0..pairs {
         let start = std::time::Instant::now();
-        black_box(Engine::new().check(&TopdownDecider::new(&t), &schema));
+        black_box(
+            Engine::new()
+                .check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+                .unwrap(),
+        );
         disabled.push(start.elapsed());
         let start = std::time::Instant::now();
         let engine = Engine::new().with_tracer(Arc::new(Tracer::enabled()));
-        black_box(engine.check(&TopdownDecider::new(&t), &schema));
+        black_box(
+            engine
+                .check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+                .unwrap(),
+        );
         traced.push(start.elapsed());
     }
     disabled.sort_unstable();
@@ -384,19 +433,27 @@ const DTL_IDENTITY: &str = "dtl\ninitial q0\nrule q0 : a -> a(q0 / child)\ntext 
 /// sorted, deduplicated span names observed — the full pipeline-stage
 /// taxonomy for `BENCH_engine.json`'s `stages` field.
 fn traced_stage_coverage() -> Vec<String> {
+    let unlimited = CheckOptions::unlimited();
     let tracer = Arc::new(Tracer::enabled());
     let (alpha, schema) = chain_schema(8);
     let t = transducers::deep_selector(&alpha, 8);
     Engine::new()
         .with_tracer(tracer.clone())
-        .check(&TopdownDecider::new(&t), &schema);
+        .check_governed(&TopdownDecider::new(&t), &schema, &unlimited)
+        .unwrap();
     let labels: Vec<_> = alpha.symbols().collect();
     Engine::new()
         .with_tracer(tracer.clone())
-        .check(&TextRetentionDecider::new(&t, labels), &schema);
+        .check_governed(&TextRetentionDecider::new(&t, labels), &schema, &unlimited)
+        .unwrap();
     Engine::new()
         .with_tracer(tracer.clone())
-        .check(&OutputConformanceDecider::new(&t, &schema), &schema);
+        .check_governed(
+            &OutputConformanceDecider::new(&t, &schema),
+            &schema,
+            &unlimited,
+        )
+        .unwrap();
 
     let mut dtl_alpha = Alphabet::new();
     let dtd = parse_schema(UNIVERSAL_1, &mut dtl_alpha).expect("bench schema parses");
@@ -404,11 +461,7 @@ fn traced_stage_coverage() -> Vec<String> {
     let dtl = parse_dtl_transducer(DTL_IDENTITY, &dtl_alpha).expect("bench DTL parses");
     Engine::new()
         .with_tracer(tracer.clone())
-        .check_governed(
-            &DtlDecider::new(&dtl),
-            &dtl_schema,
-            &CheckOptions::unlimited(),
-        )
+        .check_governed(&DtlDecider::new(&dtl), &dtl_schema, &unlimited)
         .expect("symbolic DTL check succeeds");
     // One unit of fuel exhausts immediately; --degrade semantics fall back
     // to the bounded oracle, covering the `dtl/bounded` span.

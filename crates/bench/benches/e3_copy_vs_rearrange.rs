@@ -5,6 +5,7 @@
 //! automaton with a quadratic state component (`D(q₁,q₂)`), so it should
 //! dominate as `|Q_T|` grows — the measured gap quantifies it.
 
+use textpres::engine::BudgetHandle;
 use tpx_bench::universal;
 use tpx_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tpx_workload::transducers::{deep_selector, plain_alphabet};
@@ -33,7 +34,7 @@ fn construction_sizes(_c: &mut Criterion) {
         // empty language (that emptiness IS the verdict); the swapper keeps
         // it inhabited, exposing the Θ(n²) pair-tracking states.
         let t = tpx_workload::transducers::swapper_at_depth(&alpha, n, n / 2);
-        let m = textpres::topdown::decide::rearranging_nta(&t);
+        let m = textpres::topdown::decide::rearranging_nta(&t, &BudgetHandle::unlimited()).unwrap();
         eprintln!(
             "e3: swapper n={n}: rearranging NTA (Lemma 4.10 M, trimmed): {} states, size {}",
             m.state_count(),

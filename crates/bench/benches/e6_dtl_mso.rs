@@ -10,6 +10,7 @@
 //! Hand-rolled timing (single-shot, potentially multi-second operations).
 
 use std::time::Instant;
+use textpres::engine::BudgetHandle;
 use textpres::mso::{compile_sentence, Formula, VarGen};
 use textpres::prelude::*;
 
@@ -45,7 +46,7 @@ fn main() {
     for depth in [1usize, 2, 3] {
         let phi = alternating_sentence(&alpha, depth);
         let start = Instant::now();
-        let a = compile_sentence(&phi, alpha.len());
+        let a = compile_sentence(&phi, alpha.len(), &BudgetHandle::unlimited()).unwrap();
         println!(
             "  alternation depth {depth}: {:.3} s (formula size {}, automaton states {})",
             start.elapsed().as_secs_f64(),

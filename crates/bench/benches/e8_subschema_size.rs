@@ -7,10 +7,12 @@
 //! complement → decode → intersect, so the determinization is the expected
 //! blow-up point; the printed rows quantify it.
 
+use textpres::engine::BudgetHandle;
 use tpx_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tpx_workload::transducers::copier_at_depth;
 
 fn subschema_sizes(c: &mut Criterion) {
+    let budget = BudgetHandle::unlimited();
     let mut g = c.benchmark_group("e8/maximal_subschema");
     g.sample_size(10);
     for n in [2usize, 4, 8] {
@@ -18,8 +20,8 @@ fn subschema_sizes(c: &mut Criterion) {
         // whose duplicated region carries no text survive.
         let (alpha, schema) = tpx_workload::comb_schema(n);
         let t = copier_at_depth(&alpha, 2, 1);
-        let max = textpres::topdown_maximal_subschema(&t, &schema);
-        let ce = textpres::topdown::counterexample_language(&t);
+        let max = textpres::topdown::maximal_subschema(&t, &schema, &budget).unwrap();
+        let ce = textpres::topdown::counterexample_language(&t, &budget).unwrap();
         eprintln!(
             "e8: comb {n}: |T|={} |N|={} |counterexample NTA|={} |max sub-schema|={}",
             t.size(),
@@ -28,14 +30,18 @@ fn subschema_sizes(c: &mut Criterion) {
             max.size()
         );
         g.bench_with_input(BenchmarkId::new("comb_copier", n), &n, |b, _| {
-            b.iter(|| textpres::topdown_maximal_subschema(&t, &schema).size())
+            b.iter(|| {
+                textpres::topdown::maximal_subschema(&t, &schema, &budget)
+                    .unwrap()
+                    .size()
+            })
         });
     }
     // The recipe scenario: copying variant of Example 4.2.
     let alpha = textpres::trees::samples::recipe_alphabet();
     let schema = textpres::schema::samples::recipe_dtd(&alpha).to_nta();
     let t = textpres::topdown::samples::copying_example(&alpha);
-    let max = textpres::topdown_maximal_subschema(&t, &schema);
+    let max = textpres::topdown::maximal_subschema(&t, &schema, &budget).unwrap();
     eprintln!(
         "e8: recipe copying example: |T|={} |N|={} |max sub-schema|={}",
         t.size(),
@@ -43,7 +49,11 @@ fn subschema_sizes(c: &mut Criterion) {
         max.size()
     );
     g.bench_function("recipe_copying", |b| {
-        b.iter(|| textpres::topdown_maximal_subschema(&t, &schema).size())
+        b.iter(|| {
+            textpres::topdown::maximal_subschema(&t, &schema, &budget)
+                .unwrap()
+                .size()
+        })
     });
     g.finish();
 }

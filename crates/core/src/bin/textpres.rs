@@ -4,7 +4,7 @@
 //! textpres check <schema> <transducer> [document.xml] [--stats]
 //! textpres analyze <schema> <transducer> [--analysis NAME]
 //!                  [--label L]... [--target SCHEMA] [--stats]
-//! textpres subschema <schema> <transducer>
+//! textpres subschema <schema> <transducer> [--fuel N] [--timeout-ms N]
 //! textpres batch <schema> <transducer>... [--jobs N] [--stats]
 //! textpres fuzz [--seeds N] [--budget B] [--base-seed S] [--no-dtl-symbolic]
 //!               [--xslt] [--analysis NAME] [--out DIR] [--stats]
@@ -75,9 +75,9 @@
 use std::process::ExitCode;
 use textpres::diffcheck::{run_fuzz, FuzzConfig};
 use textpres::engine::{
-    analysis_by_name, Budget, CheckOptions, Decider, DegradeBound, DtlDecider, Engine, Metrics,
-    Outcome, OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider, Tracer, Verdict,
-    ANALYSIS_NAMES, OUTPUT_CONFORMANCE, TEXT_PRESERVATION, TEXT_RETENTION,
+    analysis_by_name, Budget, CheckOptions, Decider, DecisionError, DegradeBound, DtlDecider,
+    Engine, Metrics, Outcome, OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider,
+    Tracer, Verdict, ANALYSIS_NAMES, OUTPUT_CONFORMANCE, TEXT_PRESERVATION, TEXT_RETENTION,
 };
 use textpres::format::{
     is_dtl_transducer, parse_dtl_transducer, parse_schema, parse_transducer, render_case,
@@ -96,7 +96,7 @@ usage: textpres check <schema> <transducer> [document.xml] [--stats]
                 (analyses: text-preservation (default),
                  text-retention (needs --label, repeatable),
                  conformance (needs --target, a schema file))
-       textpres subschema <schema> <transducer>
+       textpres subschema <schema> <transducer> [--fuel N] [--timeout-ms N]
        textpres compile-xslt <schema> <stylesheet> [--dtl] [--out PATH]
                 (compile a restricted XSLT 1.0 stylesheet to the top-down
                 transducer format; --dtl emits the equivalent DTL_XPath
@@ -181,7 +181,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags shared by `check` / `analyze` / `batch` / `subschema`.
+/// The flags of the commands parsed by [`parse_flags`]; each command
+/// accepts only the subset it uses.
 #[derive(Default)]
 struct Flags<'a> {
     positional: Vec<&'a str>,
@@ -200,11 +201,6 @@ struct Flags<'a> {
 }
 
 impl Flags<'_> {
-    /// Whether any resource-governance flag was given.
-    fn governed(&self) -> bool {
-        self.fuel.is_some() || self.timeout_ms.is_some() || self.degrade
-    }
-
     /// The [`CheckOptions`] the flags describe.
     fn check_options(&self) -> CheckOptions {
         let mut budget = Budget::default();
@@ -223,11 +219,29 @@ impl Flags<'_> {
     }
 }
 
-/// Splits flags from positional arguments.
-fn parse_flags(args: &[String]) -> Result<Flags<'_>, String> {
+/// The budget flags of every command that runs a budgeted computation.
+const BUDGET_FLAGS: [&str; 2] = ["--fuel", "--timeout-ms"];
+/// The flags `check` accepts; `analyze` adds [`ANALYSIS_FLAGS`].
+const CHECK_FLAGS: [&str; 6] = [
+    "--stats",
+    "--fuel",
+    "--timeout-ms",
+    "--degrade",
+    "--trace-out",
+    "--metrics",
+];
+/// The analysis-selection flags of `analyze` and `client check`.
+const ANALYSIS_FLAGS: [&str; 3] = ["--analysis", "--label", "--target"];
+
+/// Splits flags from positional arguments, rejecting any flag that is not
+/// in `accepted` (the flags the calling command uses).
+fn parse_flags<'a>(args: &'a [String], accepted: &[&str]) -> Result<Flags<'a>, String> {
     let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !accepted.contains(&a.as_str()) {
+            return Err(format!("unsupported flag {a:?}"));
+        }
         let mut num = |flag: &str| -> Result<u64, String> {
             let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
             v.parse::<u64>()
@@ -475,9 +489,6 @@ fn run_check(
     flags: &Flags<'_>,
     label: &str,
 ) -> Result<Verdict, u8> {
-    if !flags.governed() {
-        return Ok(engine.check(decider, schema));
-    }
     engine
         .check_governed(decider, schema, &flags.check_options())
         .map_err(|e| {
@@ -491,21 +502,13 @@ fn run_check(
 }
 
 fn cmd_check(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &CHECK_FLAGS) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    if flags.jobs.is_some() {
-        eprintln!("error: --jobs only applies to `batch`\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if flags.dtl || flags.out.is_some() {
-        eprintln!("error: --dtl/--out only apply to `compile-xslt`\n{USAGE}");
-        return ExitCode::from(2);
-    }
     let (schema_path, transducer_path, doc) = match flags.positional.as_slice() {
         [s, t] => (*s, *t, None),
         [s, t, d] => (*s, *t, Some(*d)),
@@ -612,21 +615,13 @@ fn finish_analyze(
 }
 
 fn cmd_analyze(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &[&CHECK_FLAGS[..], &ANALYSIS_FLAGS].concat()) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    if flags.jobs.is_some() {
-        eprintln!("error: --jobs only applies to `batch`\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    if flags.dtl || flags.out.is_some() {
-        eprintln!("error: --dtl/--out only apply to `compile-xslt`\n{USAGE}");
-        return ExitCode::from(2);
-    }
     let name = flags.analysis.unwrap_or(TEXT_PRESERVATION.name);
     let Some(analysis) = analysis_by_name(name) else {
         eprintln!(
@@ -721,7 +716,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
 }
 
 fn cmd_batch(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &[&CHECK_FLAGS[..], &["--jobs"]].concat()) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -968,7 +963,7 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
 /// program). Untranslatable constructs are listed with their source lines
 /// and exit 1; a file that is not a stylesheet at all exits 2.
 fn cmd_compile_xslt(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &["--dtl", "--out"]) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -1040,7 +1035,7 @@ fn cmd_compile_xslt(args: &[String]) -> ExitCode {
 }
 
 fn cmd_subschema(args: &[String]) -> ExitCode {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(args, &BUDGET_FLAGS) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -1065,22 +1060,37 @@ fn cmd_subschema(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let max = textpres::topdown_maximal_subschema(&t, &schema);
-    if max.is_empty() {
-        println!("the transformation is text-preserving on NO document of the schema");
-        return ExitCode::FAILURE;
-    }
+    // The sub-schema and both sample searches share one budget. `None`:
+    // the sub-schema is empty.
+    let budget = flags.check_options().budget.start();
+    let result = textpres::topdown::maximal_subschema(&t, &schema, &budget).and_then(|max| {
+        let Some(inside) = max.witness(&budget)? else {
+            return Ok(None);
+        };
+        let outside =
+            textpres::treeauto::difference_nta(&schema, &max, &budget)?.witness(&budget)?;
+        Ok(Some((max, inside, outside)))
+    });
+    let (max, inside, outside) = match result {
+        Ok(Some(x)) => x,
+        Ok(None) => {
+            println!("the transformation is text-preserving on NO document of the schema");
+            return ExitCode::FAILURE;
+        }
+        Err(b) => {
+            let e = DecisionError::exhausted("topdown/subschema", b);
+            eprintln!("error: {transducer_path}: {e}");
+            return ExitCode::from(3);
+        }
+    };
     println!(
         "maximal text-preserving sub-schema: NTA with {} states (size {})",
         max.state_count(),
         max.size()
     );
     println!("{}", max.display(&alpha));
-    if let Some(w) = max.witness() {
-        println!("sample document inside:  {}", w.display(&alpha));
-    }
-    let carved = textpres::treeauto::difference_nta(&schema, &max);
-    match carved.witness() {
+    println!("sample document inside:  {}", inside.display(&alpha));
+    match outside {
         Some(w) => println!("sample document outside: {}", w.display(&alpha)),
         None => println!("(the transformation is text-preserving on the whole schema)"),
     }
@@ -1244,7 +1254,8 @@ fn cmd_client(args: &[String]) -> ExitCode {
             }
         },
         "check" => {
-            let flags = match parse_flags(rest) {
+            let accepted = [&ANALYSIS_FLAGS[..], &BUDGET_FLAGS, &["--degrade"]].concat();
+            let flags = match parse_flags(rest, &accepted) {
                 Ok(f) => f,
                 Err(e) => {
                     eprintln!("error: {e}\n{USAGE}");

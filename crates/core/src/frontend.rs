@@ -94,7 +94,7 @@ pub fn compile_stylesheet_cached(
     let span = engine.tracer().span(XSLT_COMPILE_STAGE);
     match engine
         .cache()
-        .try_get_or_build(XSLT_COMPILE_STAGE, stage.cache_key(), || {
+        .get_or_build(XSLT_COMPILE_STAGE, stage.cache_key(), || {
             compile_stylesheet(schema_src, xslt_src)
         }) {
         Ok((artifact, hit)) => {

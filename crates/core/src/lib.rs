@@ -14,8 +14,8 @@
 //! * for DTL (the XSLT abstraction) with Core XPath patterns
 //!   ([`check_dtl`], Theorem 5.18) and MSO patterns (Theorem 5.12),
 //! * and computes the *maximal sub-schema* on which a transformation is
-//!   text-preserving ([`topdown_maximal_subschema`],
-//!   [`dtl_maximal_subschema`]; paper conclusion).
+//!   text-preserving ([`topdown::maximal_subschema`],
+//!   [`dtl::dtl_maximal_subschema`]; paper conclusion).
 //!
 //! ## Quick start
 //!
@@ -83,11 +83,18 @@ pub mod prelude {
 /// text-preserving over `L(schema)` (Theorem 4.11), with a diagnostic
 /// witness otherwise.
 ///
-/// Delegates to the decision engine ([`engine::Engine`]); batch callers
-/// that want artifact reuse and parallelism should hold an `Engine` and
-/// use [`engine::Engine::check_many`] directly.
+/// Delegates to the decision engine ([`engine::Engine`]) with no resource
+/// limits; batch callers that want artifact reuse, parallelism or a budget
+/// should hold an `Engine` and use [`engine::Engine::check_governed`] or
+/// [`engine::Engine::check_many_governed`] directly.
 pub fn check_topdown(t: &tpx_topdown::Transducer, schema: &Nta) -> tpx_topdown::CheckReport {
-    let verdict = tpx_engine::Engine::new().check(&tpx_engine::TopdownDecider::new(t), schema);
+    let verdict = tpx_engine::Engine::new()
+        .check_governed(
+            &tpx_engine::TopdownDecider::new(t),
+            schema,
+            &tpx_engine::CheckOptions::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     match verdict.outcome {
         tpx_engine::Outcome::Preserving => tpx_topdown::CheckReport::TextPreserving,
         tpx_engine::Outcome::Copying { path } => tpx_topdown::CheckReport::Copying { path },
@@ -105,13 +112,20 @@ pub fn check_topdown(t: &tpx_topdown::Transducer, schema: &Nta) -> tpx_topdown::
 /// Decides whether a DTL transducer (XPath or MSO patterns) is
 /// text-preserving over `L(schema)` (Theorems 5.12 / 5.18).
 ///
-/// Delegates to the decision engine ([`engine::Engine`]).
+/// Delegates to the decision engine ([`engine::Engine`]) with no resource
+/// limits, like [`check_topdown`].
 pub fn check_dtl<P>(t: &tpx_dtl::DtlTransducer<P>, schema: &Nta) -> tpx_dtl::DtlCheckReport
 where
     P: tpx_dtl::pattern::MsoDefinable,
     tpx_dtl::DtlTransducer<P>: std::fmt::Debug + Sync,
 {
-    let verdict = tpx_engine::Engine::new().check(&tpx_engine::DtlDecider::new(t), schema);
+    let verdict = tpx_engine::Engine::new()
+        .check_governed(
+            &tpx_engine::DtlDecider::new(t),
+            schema,
+            &tpx_engine::CheckOptions::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     match verdict.outcome {
         tpx_engine::Outcome::NotPreserving { witness }
         | tpx_engine::Outcome::Rearranging { witness } => {
@@ -119,42 +133,6 @@ where
         }
         _ => tpx_dtl::DtlCheckReport::Preserving,
     }
-}
-
-/// The maximal subset of `L(schema)` on which `t` is text-preserving, as an
-/// NTA (paper conclusion; for top-down transducers).
-pub fn topdown_maximal_subschema(t: &tpx_topdown::Transducer, schema: &Nta) -> Nta {
-    tpx_topdown::maximal_subschema(t, schema)
-}
-
-/// The maximal subset of `L(schema)` on which the DTL transducer `t` is
-/// text-preserving, as an NTA.
-pub fn dtl_maximal_subschema<P: tpx_dtl::pattern::MsoDefinable>(
-    t: &tpx_dtl::DtlTransducer<P>,
-    schema: &Nta,
-) -> Nta {
-    tpx_dtl::decide::dtl_maximal_subschema(t, schema)
-}
-
-/// The conclusion's stronger test (for top-down transducers): `t` never
-/// deletes text below nodes with the given labels, over `L(schema)`.
-/// Returns a witness text path otherwise.
-pub fn topdown_deleted_text_under(
-    t: &tpx_topdown::Transducer,
-    schema: &Nta,
-    labels: &[tpx_trees::Symbol],
-) -> Option<Vec<tpx_topdown::PathSym>> {
-    tpx_topdown::extensions::deleted_text_under(t, schema, labels)
-}
-
-/// The conclusion's stronger test for DTL transducers; returns a witness
-/// tree when some text below the given labels is deleted.
-pub fn dtl_deleted_text_under<P: tpx_dtl::pattern::MsoDefinable>(
-    t: &tpx_dtl::DtlTransducer<P>,
-    schema: &Nta,
-    labels: &[tpx_trees::Symbol],
-) -> Option<tpx_trees::Tree> {
-    tpx_dtl::decide::dtl_deleted_text_under(t, schema, labels)
 }
 
 /// Checks text-preservation of a single concrete transformation run
@@ -184,7 +162,12 @@ mod tests {
         let schema = tpx_schema::samples::recipe_dtd(&sigma).to_nta();
         let copying = tpx_topdown::samples::copying_example(&sigma);
         assert!(!super::check_topdown(&copying, &schema).is_preserving());
-        let max = super::topdown_maximal_subschema(&copying, &schema);
+        let max = tpx_topdown::maximal_subschema(
+            &copying,
+            &schema,
+            &tpx_trees::budget::BudgetHandle::unlimited(),
+        )
+        .unwrap();
         // The copying transducer duplicates description text, which every
         // recipe has — so no recipe with a recipe child survives, but the
         // empty recipes document does.

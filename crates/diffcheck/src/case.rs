@@ -210,6 +210,7 @@ impl std::fmt::Display for DivergenceKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpx_trees::budget::BudgetHandle;
 
     #[test]
     fn kind_names_round_trip() {
@@ -248,6 +249,9 @@ mod tests {
             tree: None,
             labels: Vec::new(),
         };
-        assert!(!case.schema_nta().is_empty());
+        assert!(!case
+            .schema_nta()
+            .is_empty(&BudgetHandle::unlimited())
+            .unwrap());
     }
 }

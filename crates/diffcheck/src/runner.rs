@@ -1127,6 +1127,7 @@ fn recheck_dtl(
 mod tests {
     use super::*;
     use tpx_topdown::{RhsNode, TdState};
+    use tpx_trees::budget::BudgetHandle;
 
     fn quick_cfg() -> FuzzConfig {
         FuzzConfig {
@@ -1221,7 +1222,11 @@ mod tests {
         let spec = XsltSpec { seed: 17 };
         let engine = Engine::new();
         let cfg = quick_cfg();
-        let honest = xslt_case(&schema, &spec, nta.witness());
+        let honest = xslt_case(
+            &schema,
+            &spec,
+            nta.witness(&BudgetHandle::unlimited()).unwrap(),
+        );
         assert!(!recheck(
             &engine,
             &honest,
@@ -1266,7 +1271,10 @@ mod tests {
             );
         }
         t.set_text_rule(TdState(0), true);
-        let tree = nta.witness().expect("non-empty");
+        let tree = nta
+            .witness(&BudgetHandle::unlimited())
+            .unwrap()
+            .expect("non-empty");
         let case = Case {
             alpha: schema.alpha.clone(),
             starts: schema.starts.clone(),

@@ -197,6 +197,7 @@ mod tests {
     use super::*;
     use crate::case::DtlSpec;
     use tpx_topdown::{RhsNode, TdState};
+    use tpx_trees::budget::BudgetHandle;
     use tpx_trees::{Alphabet, HedgeBuilder, Symbol};
 
     fn base_case(alpha: &Alphabet) -> Case {
@@ -299,7 +300,9 @@ mod tests {
     fn decls_shrink_but_starts_are_kept() {
         let alpha = Alphabet::from_labels(["a0", "a1"]);
         let case = base_case(&alpha);
-        let shrunk = shrink_case(&case, |c| !c.schema_nta().is_empty());
+        let shrunk = shrink_case(&case, |c| {
+            !c.schema_nta().is_empty(&BudgetHandle::unlimited()).unwrap()
+        });
         assert_eq!(shrunk.decls.len(), 1);
         assert_eq!(shrunk.decls[0].0, "a0");
     }

@@ -24,8 +24,8 @@ use std::collections::HashMap;
 
 use tpx_mso::formula::derived;
 use tpx_mso::{
-    lift, try_compile_cached, try_project_bit, try_strip_bits, CompileCache, CompileError, Formula,
-    MSym, Var, VarGen, VarKey,
+    compile_cached, lift, project_bit, strip_bits, CompileCache, CompileError, Formula, MSym, Var,
+    VarGen, VarKey,
 };
 use tpx_obs::{SpanFields, Tracer};
 use tpx_treeauto::{nbta_to_nta, nta_to_nbta, EncSym, Nbta, Nta};
@@ -167,7 +167,7 @@ impl AutoBuilder {
         phi: &Formula,
         budget: &BudgetHandle,
     ) -> Result<Nbta<MSym>, CompileError> {
-        try_compile_cached(
+        compile_cached(
             phi,
             &[VarKey::Fo(self.vx)],
             self.n_symbols,
@@ -182,7 +182,7 @@ impl AutoBuilder {
         phi: &Formula,
         budget: &BudgetHandle,
     ) -> Result<Nbta<MSym>, CompileError> {
-        try_compile_cached(
+        compile_cached(
             phi,
             &[VarKey::Fo(self.vx), VarKey::Fo(self.vy)],
             self.n_symbols,
@@ -388,11 +388,11 @@ fn join_eliminate(
             let lifted = lift(&f.auto, n_symbols, &positions, width);
             joined = Some(match joined {
                 None => lifted,
-                Some(a) => a.try_intersect(&lifted, budget)?.try_trim(budget)?,
+                Some(a) => a.intersect(&lifted, budget)?.trim(budget)?,
             });
         }
         let joined = joined.expect("v came from some factor");
-        let projected = try_project_bit(&joined, n_symbols, width - 1, true, budget)?;
+        let projected = project_bit(&joined, n_symbols, width - 1, true, budget)?;
         scope.pop();
         factors.push(Factor {
             auto: projected,
@@ -405,11 +405,11 @@ fn join_eliminate(
         debug_assert!(f.vars.is_empty());
         sentence = Some(match sentence {
             None => f.auto,
-            Some(a) => a.try_intersect(&f.auto, budget)?.try_trim(budget)?,
+            Some(a) => a.intersect(&f.auto, budget)?.trim(budget)?,
         });
     }
     let sentence = sentence.unwrap_or_else(|| tpx_mso::atomic::true_auto(n_symbols, 0));
-    try_strip_bits(&sentence, n_symbols, budget)
+    strip_bits(&sentence, n_symbols, budget)
 }
 
 fn union_sentences(
@@ -421,12 +421,12 @@ fn union_sentences(
     for item in items {
         out = Some(match out {
             None => item,
-            Some(a) => a.union(&item).try_trim(budget)?,
+            Some(a) => a.union(&item).trim(budget)?,
         });
     }
     match out {
         Some(a) => Ok(a),
-        None => try_strip_bits(
+        None => strip_bits(
             &tpx_mso::atomic::false_auto(n_symbols, 0),
             n_symbols,
             budget,
@@ -436,29 +436,12 @@ fn union_sentences(
 
 /// The regular language of counter-example trees over `Trees_Σ(Text)`: the
 /// compiled `A^copy ∪ A^rearrange` of Section 5.3.
-pub fn counterexample_nbta<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-) -> Nbta<EncSym> {
-    try_counterexample_nbta(t, n_symbols, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`counterexample_nbta`]: every MSO compile, product, trim and
-/// projection along the way runs under the fuel/deadline budget.
-pub fn try_counterexample_nbta<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-    budget: &BudgetHandle,
-) -> Result<Nbta<EncSym>, DtlDecideError> {
-    try_counterexample_nbta_traced(t, n_symbols, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_counterexample_nbta`]: emits one sub-span per compiled half
+///
+/// Every MSO compile, product, trim and projection along the way runs under
+/// the fuel/deadline budget. Emits one sub-span per compiled half
 /// (`dtl/counterexample/copying`, `dtl/counterexample/rearranging`)
-/// carrying the fuel charged and the automaton size. With a disabled
-/// tracer this is exactly the untraced call.
-pub fn try_counterexample_nbta_traced<P: MsoDefinable>(
+/// carrying the fuel charged and the automaton size.
+pub fn counterexample_nbta<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     n_symbols: usize,
     budget: &BudgetHandle,
@@ -481,7 +464,7 @@ pub fn try_counterexample_nbta_traced<P: MsoDefinable>(
             .fuel(budget.fuel_spent() - fuel_before)
             .size(rearrange.state_count()),
     );
-    Ok(copy.union(&rearrange).try_trim(budget)?)
+    Ok(copy.union(&rearrange).trim(budget)?)
 }
 
 /// Schema-side artifact of the staged DTL pipeline: the trimmed NBTA over
@@ -521,86 +504,45 @@ impl DtlTransducerArtifacts {
 }
 
 /// Stage 1 (schema side): encode and trim the schema NTA.
-pub fn compile_schema_nbta(nta: &Nta) -> DtlSchemaArtifacts {
-    try_compile_schema_nbta(nta, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_schema_nbta`].
-pub fn try_compile_schema_nbta(
+pub fn compile_schema_nbta(
     nta: &Nta,
     budget: &BudgetHandle,
 ) -> Result<DtlSchemaArtifacts, BudgetExceeded> {
     Ok(DtlSchemaArtifacts {
-        schema: nta_to_nbta(nta).try_trim(budget)?,
+        schema: nta_to_nbta(nta).trim(budget)?,
     })
 }
 
-/// Stage 1 (transducer side): compile the counter-example automaton.
+/// Stage 1 (transducer side): compile the counter-example automaton — the
+/// expensive MSO→NBTA stage, and the usual place a tight fuel budget trips
+/// on hard instances. See [`counterexample_nbta`] for the sub-spans
+/// emitted.
 pub fn compile_counterexample<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-) -> DtlTransducerArtifacts {
-    try_compile_counterexample(t, n_symbols, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`compile_counterexample`] — the expensive MSO→NBTA stage, and
-/// the usual place a tight fuel budget trips on hard instances.
-pub fn try_compile_counterexample<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    n_symbols: usize,
-    budget: &BudgetHandle,
-) -> Result<DtlTransducerArtifacts, DtlDecideError> {
-    try_compile_counterexample_traced(t, n_symbols, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_compile_counterexample`]: see
-/// [`try_counterexample_nbta_traced`] for the sub-spans emitted.
-pub fn try_compile_counterexample_traced<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     n_symbols: usize,
     budget: &BudgetHandle,
     tracer: &Tracer,
 ) -> Result<DtlTransducerArtifacts, DtlDecideError> {
     Ok(DtlTransducerArtifacts {
-        counterexample: try_counterexample_nbta_traced(t, n_symbols, budget, tracer)?,
+        counterexample: counterexample_nbta(t, n_symbols, budget, tracer)?,
         n_symbols,
     })
 }
 
 /// Stage 2: intersect precompiled artifacts and extract a witness. This is
-/// the cheap final step of Theorems 5.12 / 5.18.
-pub fn dtl_text_preserving_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-) -> DtlCheckReport {
-    try_dtl_text_preserving_with(transducer, schema, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`dtl_text_preserving_with`]; a witness that fails to decode to
-/// an unranked tree is reported as [`DtlDecideError::Internal`] instead of
-/// panicking.
-pub fn try_dtl_text_preserving_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-    budget: &BudgetHandle,
-) -> Result<DtlCheckReport, DtlDecideError> {
-    try_dtl_text_preserving_traced(transducer, schema, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_dtl_text_preserving_with`]: emits `dtl/decide/product`
-/// around the lazy product exploration and `dtl/decide/witness` around
-/// the witness decoding, each carrying the fuel charged. With a disabled
-/// tracer this is exactly the untraced call.
+/// the cheap final step of Theorems 5.12 / 5.18. A witness that fails to
+/// decode to an unranked tree is reported as [`DtlDecideError::Internal`]
+/// instead of panicking.
 ///
-/// The product is never materialized: [`Nbta::try_intersect_witness`]
-/// explores only derivable counterexample×schema state pairs and exits at
-/// the first accepting one, so a non-preserving program is reported as
-/// soon as *one* counterexample tree is derivable, and a preserving one
-/// costs only the reachable product — not the full `|Q₁|·|Q₂|` grid plus
-/// a trim that the eager route paid.
-pub fn try_dtl_text_preserving_traced(
+/// Emits `dtl/decide/product` around the lazy product exploration and
+/// `dtl/decide/witness` around the witness decoding, each carrying the
+/// fuel charged. The product is never materialized:
+/// [`Nbta::intersect_witness`] explores only derivable
+/// counterexample×schema state pairs and exits at the first accepting one,
+/// so a non-preserving program is reported as soon as *one* counterexample
+/// tree is derivable, and a preserving one costs only the reachable product
+/// — not the full `|Q₁|·|Q₂|` grid plus a trim that the eager route paid.
+pub fn dtl_text_preserving_with(
     transducer: &DtlTransducerArtifacts,
     schema: &DtlSchemaArtifacts,
     budget: &BudgetHandle,
@@ -610,7 +552,7 @@ pub fn try_dtl_text_preserving_traced(
     let fuel_before = budget.fuel_spent();
     let witness = transducer
         .counterexample
-        .try_intersect_witness(&schema.schema, budget)?;
+        .intersect_witness(&schema.schema, budget)?;
     span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
     let span = tracer.span("dtl/decide/witness");
     let fuel_before = budget.fuel_spent();
@@ -635,9 +577,12 @@ pub fn try_dtl_text_preserving_traced(
 /// One-shot wrapper over the staged pipeline: [`compile_counterexample`] +
 /// [`compile_schema_nbta`] + [`dtl_text_preserving_with`].
 pub fn dtl_text_preserving<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -> DtlCheckReport {
-    let ce = compile_counterexample(t, nta.symbol_count());
-    let schema = compile_schema_nbta(nta);
-    dtl_text_preserving_with(&ce, &schema)
+    let budget = BudgetHandle::unlimited();
+    let ce = compile_counterexample(t, nta.symbol_count(), &budget, Tracer::disabled_ref())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let schema = compile_schema_nbta(nta, &budget).expect("unlimited budget");
+    dtl_text_preserving_with(&ce, &schema, &budget, Tracer::disabled_ref())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The conclusion's stronger test for DTL: does `t` delete some text value
@@ -648,19 +593,11 @@ pub fn dtl_text_preserving<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -> 
 /// i.e. `∃p (q₀, root) ;* (p, w)` with `(p, text) → text`; deletion below
 /// `σ` is the complement of that, intersected with "w is a text node below
 /// a σ-node".
+///
+/// Every compile/project stage charges the shared budget, and the final
+/// schema product is explored lazily with an early exit at the first
+/// witness.
 pub fn dtl_deleted_text_under<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    nta: &Nta,
-    labels: &[tpx_trees::Symbol],
-) -> Option<Tree> {
-    try_dtl_deleted_text_under(t, nta, labels, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`dtl_deleted_text_under`]: every compile/project stage
-/// charges the shared budget, and the final schema product is explored
-/// lazily with an early exit at the first witness.
-pub fn try_dtl_deleted_text_under<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     nta: &Nta,
     labels: &[tpx_trees::Symbol],
@@ -689,11 +626,10 @@ pub fn try_dtl_deleted_text_under<P: MsoDefinable>(
         ))
     };
     let phi = under.and(reached.not());
-    let deleted = try_compile_cached(&phi, &[VarKey::Fo(vx)], n_symbols, &mut b.cache, budget)?;
-    let sentence = try_project_bit(&deleted, n_symbols, 0, true, budget)?;
-    let schema = nta_to_nbta(nta).try_trim(budget)?;
-    let witness =
-        try_strip_bits(&sentence, n_symbols, budget)?.try_intersect_witness(&schema, budget)?;
+    let deleted = compile_cached(&phi, &[VarKey::Fo(vx)], n_symbols, &mut b.cache, budget)?;
+    let sentence = project_bit(&deleted, n_symbols, 0, true, budget)?;
+    let schema = nta_to_nbta(nta).trim(budget)?;
+    let witness = strip_bits(&sentence, n_symbols, budget)?.intersect_witness(&schema, budget)?;
     witness
         .map(|w| {
             tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
@@ -707,17 +643,11 @@ pub fn try_dtl_deleted_text_under<P: MsoDefinable>(
 /// schema: two rules of the same state must never both match a node of a
 /// schema tree. Returns the first offending rule pair with a witness tree,
 /// or `None` when the transducer is deterministic over `L(nta)`.
+///
+/// Guard compilations charge the shared budget and each overlap test is a
+/// lazy early-exit product exploration instead of a materialized
+/// intersection.
 pub fn check_determinism<P: MsoDefinable>(
-    t: &DtlTransducer<P>,
-    nta: &Nta,
-) -> Option<(usize, usize, Tree)> {
-    try_check_determinism(t, nta, &BudgetHandle::unlimited()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`check_determinism`]: guard compilations charge the shared
-/// budget and each overlap test is a lazy early-exit product exploration
-/// instead of a materialized intersection.
-pub fn try_check_determinism<P: MsoDefinable>(
     t: &DtlTransducer<P>,
     nta: &Nta,
     budget: &BudgetHandle,
@@ -727,7 +657,7 @@ pub fn try_check_determinism<P: MsoDefinable>(
     gen.reserve(Var(MsoPatterns::HOLE_Y.0 + 1));
     let mut cache = CompileCache::new();
     let x = gen.var();
-    let schema = nta_to_nbta(nta).try_trim(budget)?;
+    let schema = nta_to_nbta(nta).trim(budget)?;
     let guards: Vec<(DtlState, Formula)> = t
         .rules()
         .iter()
@@ -749,9 +679,8 @@ pub fn try_check_determinism<P: MsoDefinable>(
                 gi.rename_fo(MsoPatterns::HOLE_X, x)
                     .and(gj.rename_fo(MsoPatterns::HOLE_X, x)),
             );
-            let a = try_compile_cached(&both, &[], n_symbols, &mut cache, budget)?;
-            let overlap =
-                try_strip_bits(&a, n_symbols, budget)?.try_intersect_witness(&schema, budget)?;
+            let a = compile_cached(&both, &[], n_symbols, &mut cache, budget)?;
+            let overlap = strip_bits(&a, n_symbols, budget)?.intersect_witness(&schema, budget)?;
             if let Some(w) = overlap {
                 let witness = tpx_treeauto::convert::decode_witness(&w).ok_or_else(|| {
                     DtlDecideError::Internal("schema product witness does not decode".into())
@@ -764,45 +693,39 @@ pub fn try_check_determinism<P: MsoDefinable>(
 }
 
 /// [`dtl_maximal_subschema`] over precompiled artifacts.
+///
+/// This is the one consumer that genuinely needs the complemented
+/// counterexample language *as an automaton* (the sub-schema is returned to
+/// the caller), so the eager determinize–complement route stays — but every
+/// stage charges the shared budget.
 pub fn dtl_maximal_subschema_with(
-    transducer: &DtlTransducerArtifacts,
-    schema: &DtlSchemaArtifacts,
-) -> Nta {
-    try_dtl_maximal_subschema_with(transducer, schema, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`dtl_maximal_subschema_with`]. This is the one consumer that
-/// genuinely needs the complemented counterexample language *as an
-/// automaton* (the sub-schema is returned to the caller), so the eager
-/// determinize–complement route stays — but every stage now charges the
-/// shared budget instead of bypassing PR 3's governance.
-pub fn try_dtl_maximal_subschema_with(
     transducer: &DtlTransducerArtifacts,
     schema: &DtlSchemaArtifacts,
     budget: &BudgetHandle,
 ) -> Result<Nta, DtlDecideError> {
     let not_ce = transducer
         .counterexample
-        .try_determinize(budget)?
+        .determinize(budget)?
         .complement()
         .to_nbta()
-        .try_trim(budget)?;
+        .trim(budget)?;
     Ok(nbta_to_nta(
-        &schema
-            .schema
-            .try_intersect(&not_ce, budget)?
-            .try_trim(budget)?,
+        &schema.schema.intersect(&not_ce, budget)?.trim(budget)?,
         transducer.n_symbols,
-    ))
+        budget,
+    )?)
 }
 
 /// The maximal sub-schema on which `t` is text-preserving (conclusion):
-/// `L(nta) ∖ counterexamples(t)`, as an NTA.
-pub fn dtl_maximal_subschema<P: MsoDefinable>(t: &DtlTransducer<P>, nta: &Nta) -> Nta {
-    let ce = compile_counterexample(t, nta.symbol_count());
-    let schema = compile_schema_nbta(nta);
-    dtl_maximal_subschema_with(&ce, &schema)
+/// `L(nta) ∖ counterexamples(t)`, as an NTA; every stage charges `budget`.
+pub fn dtl_maximal_subschema<P: MsoDefinable>(
+    t: &DtlTransducer<P>,
+    nta: &Nta,
+    budget: &BudgetHandle,
+) -> Result<Nta, DtlDecideError> {
+    let ce = compile_counterexample(t, nta.symbol_count(), budget, Tracer::disabled_ref())?;
+    let schema = compile_schema_nbta(nta, budget)?;
+    dtl_maximal_subschema_with(&ce, &schema, budget)
 }
 
 #[cfg(test)]
@@ -948,6 +871,7 @@ mod tests {
 
     #[test]
     fn dtl_deleted_text_under_matches_topdown_extension() {
+        let budget = BudgetHandle::unlimited();
         // Keep a-subtrees, drop b-subtrees entirely.
         let al = alpha();
         let mut tb = tpx_topdown::TransducerBuilder::new(&al, "q0");
@@ -957,8 +881,9 @@ mod tests {
         let dtl = crate::from_topdown(&td);
         let nta = universal(&al);
         // Deletes text under b…
-        let w =
-            dtl_deleted_text_under(&dtl, &nta, &[al.sym("b")]).expect("text under b is deleted");
+        let w = dtl_deleted_text_under(&dtl, &nta, &[al.sym("b")], &budget)
+            .unwrap()
+            .expect("text under b is deleted");
         assert!(nta.accepts(&w));
         // …which the top-down extension also reports.
         assert!(tpx_topdown::extensions::deleted_text_under(&td, &nta, &[al.sym("b")]).is_some());
@@ -972,7 +897,11 @@ mod tests {
         nb.rule("s", "a", "(s | st)*");
         nb.text_rule("st");
         let only_a = nb.finish();
-        assert!(dtl_deleted_text_under(&dtl, &only_a, &[al.sym("a")]).is_none());
+        assert!(
+            dtl_deleted_text_under(&dtl, &only_a, &[al.sym("a")], &budget)
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -983,7 +912,11 @@ mod tests {
         b.rule_simple("q0", "b", "b", "q0", "child");
         b.text_rule("q0");
         let t = b.finish();
-        assert!(check_determinism(&t, &universal(&al)).is_none());
+        assert!(
+            check_determinism(&t, &universal(&al), &BudgetHandle::unlimited())
+                .unwrap()
+                .is_none()
+        );
     }
 
     #[test]
@@ -994,7 +927,9 @@ mod tests {
         // Overlaps with the rule above on any a-node with a b-child.
         b.rule_simple("q0", "a & <child[b]>", "b", "q0", "child");
         let t = b.finish();
-        let (i, j, w) = check_determinism(&t, &universal(&al)).expect("overlap");
+        let (i, j, w) = check_determinism(&t, &universal(&al), &BudgetHandle::unlimited())
+            .unwrap()
+            .expect("overlap");
         assert_ne!(i, j);
         // Definition 5.1 quantifies over every node of a schema tree, so
         // the witness must have SOME node where both guards match — the
@@ -1022,11 +957,14 @@ mod tests {
         nb.rule("s", "a", "(s | st)*");
         nb.text_rule("st");
         let only_a = nb.finish();
-        assert!(check_determinism(&t, &only_a).is_none());
+        assert!(check_determinism(&t, &only_a, &BudgetHandle::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     #[test]
     fn maximal_subschema_for_doubling_below_b() {
+        let budget = BudgetHandle::unlimited();
         let al = alpha();
         let mut scratch = al.clone();
         let mut t = DtlTransducer::new(XPathPatterns, 2, DtlState(0));
@@ -1049,14 +987,14 @@ mod tests {
         t.set_text_rule(DtlState(0), true);
         t.set_text_rule(DtlState(1), true);
         let nta = universal(&al);
-        let max = dtl_maximal_subschema(&t, &nta);
-        assert!(!max.is_empty());
+        let max = dtl_maximal_subschema(&t, &nta, &budget).unwrap();
+        assert!(!max.is_empty(&budget).unwrap());
         let mut al2 = al.clone();
         let inside = tpx_trees::term::parse_tree(r#"a("x" b)"#, &mut al2).unwrap();
         assert!(max.accepts(&inside));
         let outside = tpx_trees::term::parse_tree(r#"a(b("y"))"#, &mut al2).unwrap();
         assert!(!max.accepts(&outside));
-        let w = max.witness().unwrap();
+        let w = max.witness(&budget).unwrap().unwrap();
         assert!(config::text_preserving_on(
             &t,
             &Tree::from_hedge(tpx_trees::make_value_unique(w.as_hedge())).unwrap()

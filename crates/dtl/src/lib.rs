@@ -35,6 +35,13 @@
 //! * [`bounded`] — the bounded-enumeration baseline decider (exponential;
 //!   the comparator for experiments E4/E5);
 //! * [`samples`] — Example 5.15.
+//!
+//! Every operation that can blow up (products, subset constructions,
+//! saturations, inclusion and witness searches) takes a `&BudgetHandle`
+//! (from `tpx_trees::budget`) and returns a `Result`, and the stage
+//! functions that emit sub-spans also take a `&Tracer`; each exists once,
+//! under its plain name. Callers without limits pass `&BudgetHandle::unlimited()`
+//! and `Tracer::disabled_ref()`.
 
 pub mod atwa;
 pub mod bounded;
@@ -49,10 +56,8 @@ pub mod xpath_mso;
 
 pub use decide::{
     compile_counterexample, compile_schema_nbta, dtl_maximal_subschema, dtl_maximal_subschema_with,
-    dtl_text_preserving, dtl_text_preserving_with, try_compile_counterexample,
-    try_compile_counterexample_traced, try_compile_schema_nbta, try_dtl_text_preserving_traced,
-    try_dtl_text_preserving_with, DtlCheckReport, DtlDecideError, DtlSchemaArtifacts,
-    DtlTransducerArtifacts,
+    dtl_text_preserving, dtl_text_preserving_with, DtlCheckReport, DtlDecideError,
+    DtlSchemaArtifacts, DtlTransducerArtifacts,
 };
 pub use pattern::{MsoPatterns, PatternLanguage, XPathPatterns};
 pub use transducer::{from_topdown, DtlBuilder, DtlError, DtlState, DtlTransducer, Rhs};

@@ -94,7 +94,7 @@ impl PatternLanguage for MsoPatterns {
         let mut out = vec![false; h.node_count()];
         for v in h.dfs() {
             let asg = tpx_mso::Assignment::new().bind(Self::HOLE_X, v);
-            out[v.index()] = tpx_mso::naive_eval(h, phi, &asg);
+            out[v.index()] = tpx_mso::naive_eval(h, phi, &asg).unwrap_or_else(|e| panic!("{e}"));
         }
         out
     }
@@ -107,7 +107,7 @@ impl PatternLanguage for MsoPatterns {
                 let asg = tpx_mso::Assignment::new()
                     .bind(Self::HOLE_X, v)
                     .bind(Self::HOLE_Y, u);
-                if tpx_mso::naive_eval(h, alpha, &asg) {
+                if tpx_mso::naive_eval(h, alpha, &asg).unwrap_or_else(|e| panic!("{e}")) {
                     out[v.index()].push(u);
                 }
             }

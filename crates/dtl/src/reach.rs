@@ -129,7 +129,11 @@ mod tests {
             for &n2 in &t.dfs() {
                 let asg = Assignment::new().bind(x, n1).bind(y, n2);
                 let expect = n1 == n2 || t.is_ancestor(n1, n2, true);
-                assert_eq!(naive_eval(&t, &reach, &asg), expect, "{n1:?} {n2:?}");
+                assert_eq!(
+                    naive_eval(&t, &reach, &asg).unwrap(),
+                    expect,
+                    "{n1:?} {n2:?}"
+                );
             }
         }
     }
@@ -154,13 +158,13 @@ mod tests {
         for (i, &n) in nodes.iter().enumerate() {
             let asg = Assignment::new().bind(x, root).bind(y, n);
             assert_eq!(
-                naive_eval(&t, &reach00, &asg),
+                naive_eval(&t, &reach00, &asg).unwrap(),
                 i % 2 == 0,
                 "depth {}",
                 i + 1
             );
             assert_eq!(
-                naive_eval(&t, &reach01, &asg),
+                naive_eval(&t, &reach01, &asg).unwrap(),
                 i % 2 == 1,
                 "depth {}",
                 i + 1
@@ -187,7 +191,8 @@ mod tests {
         let t = parse_tree("a(b(a))", &mut al).unwrap();
         let nodes = t.dfs();
         let (root, b, inner) = (nodes[0], nodes[1], nodes[2]);
-        let ok = |n1, n2| naive_eval(&t, &reach, &Assignment::new().bind(x, n1).bind(y, n2));
+        let ok =
+            |n1, n2| naive_eval(&t, &reach, &Assignment::new().bind(x, n1).bind(y, n2)).unwrap();
         assert!(ok(root, b)); // one a-step
         assert!(!ok(root, inner)); // blocked at the b node
         assert!(ok(b, b)); // reflexive

@@ -18,9 +18,11 @@
 use crate::pattern::MsoPatterns;
 use crate::reach::ReachSystem;
 use std::collections::HashSet;
-
-use tpx_mso::{compile_sentence_cached, naive_eval, Assignment, CompileCache, Formula, VarGen};
+use tpx_mso::{
+    compile_sentence_cached, naive_eval, Assignment, CompileCache, CompileError, Formula, VarGen,
+};
 use tpx_treeauto::{EncSym, Nbta};
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::{NodeId, Tree};
 
 /// A transition `(q, φ, α) → q'`.
@@ -69,14 +71,16 @@ impl Tja {
                     continue;
                 }
                 let test_asg = Assignment::new().bind(MsoPatterns::HOLE_X, v);
-                if !naive_eval(t, &tr.test, &test_asg) {
+                if !naive_eval(t, &tr.test, &test_asg).unwrap_or_else(|e| panic!("{e}")) {
                     continue;
                 }
                 for &u in &nodes {
                     let jump_asg = Assignment::new()
                         .bind(MsoPatterns::HOLE_X, v)
                         .bind(MsoPatterns::HOLE_Y, u);
-                    if naive_eval(t, &tr.jump, &jump_asg) && reached.insert((tr.to, u)) {
+                    if naive_eval(t, &tr.jump, &jump_asg).unwrap_or_else(|e| panic!("{e}"))
+                        && reached.insert((tr.to, u))
+                    {
                         stack.push((tr.to, u));
                     }
                 }
@@ -106,9 +110,13 @@ impl Tja {
 
     /// Corollary 5.9: `L(B)` as a bottom-up tree automaton over encodings —
     /// TJA_MSO define only regular tree languages.
-    pub fn to_language(&self, n_symbols: usize) -> Nbta<EncSym> {
+    pub fn to_language(
+        &self,
+        n_symbols: usize,
+        budget: &BudgetHandle,
+    ) -> Result<Nbta<EncSym>, CompileError> {
         let mut cache = CompileCache::new();
-        compile_sentence_cached(&self.acceptance_sentence(), n_symbols, &mut cache)
+        compile_sentence_cached(&self.acceptance_sentence(), n_symbols, &mut cache, budget)
     }
 }
 
@@ -161,7 +169,9 @@ mod tests {
     fn corollary_5_9_language_is_regular_and_agrees() {
         let al = Alphabet::from_labels(["a", "b"]);
         let tja = sample_tja(&al);
-        let lang = tja.to_language(al.len());
+        let lang = tja
+            .to_language(al.len(), &BudgetHandle::unlimited())
+            .unwrap();
         for src in [
             r#"a(a(b("x")))"#,
             r#"a(b(a))"#,
@@ -202,7 +212,9 @@ mod tests {
         let no = parse_tree("a(a)", &mut al2).unwrap();
         assert!(tja.accepts(&yes));
         assert!(!tja.accepts(&no));
-        let lang = tja.to_language(al.len());
+        let lang = tja
+            .to_language(al.len(), &BudgetHandle::unlimited())
+            .unwrap();
         assert!(lang.accepts(&encode_for_automata(&yes)));
         assert!(!lang.accepts(&encode_for_automata(&no)));
     }

@@ -102,7 +102,7 @@ mod tests {
             for &v in &t.dfs() {
                 for &u in &t.dfs() {
                     let expect = rel.contains(v, u);
-                    let got = naive_eval(&t, &f, &Assignment::new().bind(x, v).bind(y, u));
+                    let got = naive_eval(&t, &f, &Assignment::new().bind(x, v).bind(y, u)).unwrap();
                     assert_eq!(got, expect, "{src} on {tsrc} at {v:?},{u:?}");
                 }
             }
@@ -121,7 +121,7 @@ mod tests {
             let mut gen = gen_above(&[x]);
             let f = node_expr_to_mso(&phi, x, &mut gen);
             for &v in &t.dfs() {
-                let got = naive_eval(&t, &f, &Assignment::new().bind(x, v));
+                let got = naive_eval(&t, &f, &Assignment::new().bind(x, v)).unwrap();
                 assert_eq!(got, table[v.index()], "{src} on {tsrc} at {v:?}");
             }
         }
@@ -169,7 +169,7 @@ mod tests {
         let f = path_expr_to_mso(&alpha, x, y, &mut gen);
         for &v in &t.dfs() {
             for &u in &t.dfs() {
-                let got = naive_eval(&t, &f, &Assignment::new().bind(x, v).bind(y, u));
+                let got = naive_eval(&t, &f, &Assignment::new().bind(x, v).bind(y, u)).unwrap();
                 assert_eq!(got, rel.contains(v, u), "{v:?},{u:?}");
             }
         }

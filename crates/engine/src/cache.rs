@@ -297,32 +297,15 @@ impl ArtifactCache {
     /// first use. The second component reports whether this was a cache hit
     /// (`true`) or this call built the artifact (`false`).
     ///
-    /// # Panics
-    ///
-    /// If `(kind, key)` was previously inserted with a different `T`: one
-    /// stage name must always cache one artifact type. (Use
-    /// [`ArtifactCache::try_get_or_build`] for the recoverable variant.)
-    pub fn get_or_build<T, F>(&self, kind: &'static str, key: u64, build: F) -> (Arc<T>, bool)
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        match self.try_get_or_build::<T, std::convert::Infallible, _>(kind, key, || Ok(build())) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`ArtifactCache::get_or_build`]: the builder may fail, and
-    /// every failure mode — builder error, builder panic, type mismatch —
-    /// comes back as a recoverable [`CacheError`] instead of unwinding.
-    ///
-    /// Only *successful* builds are memoized: on `Err` the slot stays
-    /// uninitialized (`OnceLock` guarantees a panicked or aborted
-    /// initializer leaves the cell empty and lets the next caller retry),
-    /// so a budget-starved build can be retried with a larger budget and a
-    /// panicking build poisons only its own slot, never the shard.
-    pub fn try_get_or_build<T, E, F>(
+    /// The builder may fail, and every failure mode — builder error, builder
+    /// panic, a type different from the one `(kind, key)` was first built
+    /// with — comes back as a recoverable [`CacheError`] instead of
+    /// unwinding. Only *successful* builds are memoized: on `Err`
+    /// the slot stays uninitialized (`OnceLock` guarantees a panicked or
+    /// aborted initializer leaves the cell empty and lets the next caller
+    /// retry), so a budget-starved build can be retried with a larger budget
+    /// and a panicking build poisons only its own slot, never the shard.
+    pub fn get_or_build<T, E, F>(
         &self,
         kind: &'static str,
         key: u64,
@@ -424,21 +407,30 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
 
     #[test]
     fn builds_once_then_hits() {
         let cache = ArtifactCache::new();
         let mut builds = 0;
-        let (a, hit) = cache.get_or_build("t", 1, || {
-            builds += 1;
-            42usize
-        });
+        let (a, hit) = cache
+            .get_or_build("t", 1, || {
+                Ok::<_, Infallible>({
+                    builds += 1;
+                    42usize
+                })
+            })
+            .unwrap();
         assert!(!hit);
         assert_eq!(*a, 42);
-        let (b, hit) = cache.get_or_build("t", 1, || {
-            builds += 1;
-            99usize
-        });
+        let (b, hit) = cache
+            .get_or_build("t", 1, || {
+                Ok::<_, Infallible>({
+                    builds += 1;
+                    99usize
+                })
+            })
+            .unwrap();
         assert!(hit);
         assert_eq!(*b, 42);
         assert_eq!(builds, 1);
@@ -460,14 +452,18 @@ mod tests {
         let cache = ArtifactCache::with_shards(2, 1);
         assert_eq!(cache.shard_count(), 1);
         for key in 0..5u64 {
-            let _ = cache.get_or_build("t", key, move || key);
+            let _ = cache
+                .get_or_build("t", key, move || Ok::<_, Infallible>(key))
+                .unwrap();
         }
         let stats = cache.stats();
         assert!(stats.entries <= 2, "bound violated: {}", stats.entries);
         assert_eq!(stats.evictions, 4); // two coarse resets of a full shard
         assert_eq!(stats.misses, 5);
         // A re-requested evicted key is rebuilt, not resurrected.
-        let (_, hit) = cache.get_or_build("t", 0, || 0u64);
+        let (_, hit) = cache
+            .get_or_build("t", 0, || Ok::<_, Infallible>(0u64))
+            .unwrap();
         assert!(!hit);
     }
 
@@ -478,7 +474,9 @@ mod tests {
         // built entry is either still present or counted as evicted.
         let cache = ArtifactCache::with_max_entries(8);
         for key in 0..100u64 {
-            let _ = cache.get_or_build("t", key, move || key);
+            let _ = cache
+                .get_or_build("t", key, move || Ok::<_, Infallible>(key))
+                .unwrap();
         }
         let stats = cache.stats();
         assert!(stats.entries <= 8, "bound violated: {}", stats.entries);
@@ -490,8 +488,12 @@ mod tests {
     fn shard_stats_aggregate_to_totals() {
         let cache = ArtifactCache::new();
         for key in 0..50u64 {
-            let _ = cache.get_or_build("t", key, move || key);
-            let _ = cache.get_or_build("t", key, move || key); // hit
+            let _ = cache
+                .get_or_build("t", key, move || Ok::<_, Infallible>(key))
+                .unwrap();
+            let _ = cache
+                .get_or_build("t", key, move || Ok::<_, Infallible>(key))
+                .unwrap(); // hit
         }
         let per_shard = cache.shard_stats();
         assert_eq!(per_shard.len(), cache.shard_count());
@@ -518,7 +520,9 @@ mod tests {
     fn unbounded_cache_never_evicts() {
         let cache = ArtifactCache::with_max_entries(0);
         for key in 0..100u64 {
-            let _ = cache.get_or_build("t", key, move || key);
+            let _ = cache
+                .get_or_build("t", key, move || Ok::<_, Infallible>(key))
+                .unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 100);
@@ -528,8 +532,12 @@ mod tests {
     #[test]
     fn kinds_partition_the_key_space() {
         let cache = ArtifactCache::new();
-        let (a, _) = cache.get_or_build("x", 7, || 1usize);
-        let (b, _) = cache.get_or_build("y", 7, || 2u64);
+        let (a, _) = cache
+            .get_or_build("x", 7, || Ok::<_, Infallible>(1usize))
+            .unwrap();
+        let (b, _) = cache
+            .get_or_build("y", 7, || Ok::<_, Infallible>(2u64))
+            .unwrap();
         assert_eq!(*a, 1);
         assert_eq!(*b, 2);
         assert_eq!(cache.stats().entries, 2);
@@ -538,25 +546,33 @@ mod tests {
     #[test]
     fn clear_drops_entries_but_not_counters() {
         let cache = ArtifactCache::new();
-        let _ = cache.get_or_build("t", 1, || 0u8);
+        let _ = cache
+            .get_or_build("t", 1, || Ok::<_, Infallible>(0u8))
+            .unwrap();
         cache.clear();
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().misses, 1);
-        let (_, hit) = cache.get_or_build("t", 1, || 0u8);
+        let (_, hit) = cache
+            .get_or_build("t", 1, || Ok::<_, Infallible>(0u8))
+            .unwrap();
         assert!(!hit, "cleared entries are rebuilt");
     }
 
     #[test]
     fn type_mismatch_is_a_recoverable_error() {
         let cache = ArtifactCache::new();
-        let _ = cache.get_or_build("t", 1, || 42usize);
+        let _ = cache
+            .get_or_build("t", 1, || Ok::<_, Infallible>(42usize))
+            .unwrap();
         let err = cache
-            .try_get_or_build::<u64, std::convert::Infallible, _>("t", 1, || Ok(7u64))
+            .get_or_build::<u64, Infallible, _>("t", 1, || Ok(7u64))
             .unwrap_err();
         assert!(matches!(err, CacheError::TypeMismatch { kind: "t" }));
         // The cache is still serviceable afterwards, with the original
         // artifact intact.
-        let (v, hit) = cache.get_or_build("t", 1, || 0usize);
+        let (v, hit) = cache
+            .get_or_build("t", 1, || Ok::<_, Infallible>(0usize))
+            .unwrap();
         assert!(hit);
         assert_eq!(*v, 42);
     }
@@ -565,12 +581,12 @@ mod tests {
     fn failed_build_is_not_memoized_and_retries() {
         let cache = ArtifactCache::new();
         let err = cache
-            .try_get_or_build::<usize, &str, _>("t", 1, || Err("out of fuel"))
+            .get_or_build::<usize, &str, _>("t", 1, || Err("out of fuel"))
             .unwrap_err();
         assert!(matches!(err, CacheError::Build("out of fuel")));
         // Retry with a successful builder: the slot was left empty.
         let (v, hit) = cache
-            .try_get_or_build::<usize, &str, _>("t", 1, || Ok(5))
+            .get_or_build::<usize, &str, _>("t", 1, || Ok(5))
             .unwrap();
         assert!(!hit);
         assert_eq!(*v, 5);
@@ -586,7 +602,7 @@ mod tests {
     fn panicking_build_poisons_only_its_slot_and_rebuilds() {
         let cache = ArtifactCache::with_shards(4, 1); // everything in one shard
         let err = cache
-            .try_get_or_build::<usize, std::convert::Infallible, _>("t", 0, || panic!("boom"))
+            .get_or_build::<usize, Infallible, _>("t", 0, || panic!("boom"))
             .unwrap_err();
         let CacheError::BuilderPanicked { kind, message } = err else {
             panic!("expected BuilderPanicked");
@@ -595,20 +611,28 @@ mod tests {
         assert!(message.contains("boom"), "{message}");
         // The shard is not wedged: a *different* key in the same shard
         // builds immediately...
-        let (v, hit) = cache.get_or_build("t", 1, || 10usize);
+        let (v, hit) = cache
+            .get_or_build("t", 1, || Ok::<_, Infallible>(10usize))
+            .unwrap();
         assert!(!hit);
         assert_eq!(*v, 10);
         // ...and the panicked key itself rebuilds successfully and is then
         // served from cache.
-        let (v, hit) = cache.get_or_build("t", 0, || 7usize);
+        let (v, hit) = cache
+            .get_or_build("t", 0, || Ok::<_, Infallible>(7usize))
+            .unwrap();
         assert!(!hit, "the poisoned slot must retry the build");
         assert_eq!(*v, 7);
-        let (v, hit) = cache.get_or_build("t", 0, || 99usize);
+        let (v, hit) = cache
+            .get_or_build("t", 0, || Ok::<_, Infallible>(99usize))
+            .unwrap();
         assert!(hit, "the rebuilt artifact is memoized");
         assert_eq!(*v, 7);
         // Eviction stats stay exact after the panic: fill past capacity.
         for key in 10..15u64 {
-            let _ = cache.get_or_build("t", key, move || key as usize);
+            let _ = cache
+                .get_or_build("t", key, move || Ok::<_, Infallible>(key as usize))
+                .unwrap();
         }
         let stats = cache.stats();
         assert!(stats.entries <= 4, "bound violated: {}", stats.entries);
@@ -631,17 +655,13 @@ mod tests {
                     // Retry until a successful build lands; only the very
                     // first builder panics.
                     for _ in 0..16 {
-                        let r = cache.try_get_or_build::<usize, std::convert::Infallible, _>(
-                            "race",
-                            1,
-                            || {
-                                if !poisoned_once.swap(true, Ordering::SeqCst) {
-                                    panic!("first build dies");
-                                }
-                                built.fetch_add(1, Ordering::SeqCst);
-                                Ok(11)
-                            },
-                        );
+                        let r = cache.get_or_build::<usize, Infallible, _>("race", 1, || {
+                            if !poisoned_once.swap(true, Ordering::SeqCst) {
+                                panic!("first build dies");
+                            }
+                            built.fetch_add(1, Ordering::SeqCst);
+                            Ok(11)
+                        });
                         match r {
                             Ok((v, _)) => {
                                 assert_eq!(*v, 11);
@@ -670,12 +690,16 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let (v, _) = cache.get_or_build("race", 5, || {
-                        built.fetch_add(1, Ordering::Relaxed);
-                        // Widen the race window a little.
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                        7usize
-                    });
+                    let (v, _) = cache
+                        .get_or_build("race", 5, || {
+                            Ok::<_, Infallible>({
+                                built.fetch_add(1, Ordering::Relaxed);
+                                // Widen the race window a little.
+                                std::thread::sleep(std::time::Duration::from_millis(5));
+                                7usize
+                            })
+                        })
+                        .unwrap();
                     assert_eq!(*v, 7);
                 });
             }

@@ -24,8 +24,7 @@ use crate::decider::{governed_stage, uncached_stage, Decider, StageCtx, StageKey
 use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
 use tpx_obs::{SpanFields, Tracer};
 use tpx_topdown::{
-    try_compile_conformance_artifacts, try_conformance_witness_with, ConformanceArtifacts,
-    Transducer,
+    compile_conformance_artifacts, conformance_witness_with, ConformanceArtifacts, Transducer,
 };
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_of, StableHasher};
@@ -115,7 +114,7 @@ impl Decider for OutputConformanceDecider<'_> {
                     stage,
                     ConformanceArtifacts::size,
                     || {
-                        try_compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
+                        compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
                             .map_err(|b| DecisionError::exhausted("conformance/inverse", b))
                     },
                     &mut ctx,
@@ -134,7 +133,7 @@ impl Decider for OutputConformanceDecider<'_> {
             .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
+    fn check(
         &self,
         schema: &Nta,
         cache: &ArtifactCache,
@@ -153,7 +152,7 @@ impl Decider for OutputConformanceDecider<'_> {
             ),
             ConformanceArtifacts::size,
             || {
-                try_compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
+                compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
                     .map_err(|b| DecisionError::exhausted("conformance/inverse", b))
             },
             &mut StageCtx {
@@ -165,7 +164,7 @@ impl Decider for OutputConformanceDecider<'_> {
         let start = Instant::now();
         let fuel_before = budget.fuel_spent();
         let span = tracer.span("conformance/decide");
-        let witness = try_conformance_witness_with(&inverse, schema, &budget)
+        let witness = conformance_witness_with(&inverse, schema, &budget)
             .map_err(|b| DecisionError::exhausted("conformance/decide", b))?;
         span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
         uncached_stage(

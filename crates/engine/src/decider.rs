@@ -15,13 +15,14 @@
 //! The final decide stage (automata products + emptiness) is cheap and
 //! schema×transducer-specific, so it is never cached.
 //!
-//! Every decider runs *governed and traced*: [`Decider::check_traced`]
-//! threads a [`BudgetHandle`] and a [`Tracer`] through the whole staged
-//! pipeline (fuel is charged at state/transition construction sites down in
+//! Every decider runs *governed and traced*: [`Decider::check`] threads a
+//! [`BudgetHandle`] and a [`Tracer`] through the whole staged pipeline
+//! (fuel is charged at state/transition construction sites down in
 //! `tpx-treeauto` / `tpx-mso`; each stage emits one span named exactly like
 //! its [`StageReport`]) and returns a structured [`DecisionError`] instead
-//! of panicking or diverging. [`Decider::check_governed`] is the
-//! disabled-tracer wrapper and [`Decider::check`] the unlimited-budget one.
+//! of panicking or diverging. Callers without limits pass
+//! [`CheckOptions::unlimited`]; callers without tracing pass
+//! [`Tracer::disabled_ref`].
 
 use std::time::Instant;
 
@@ -31,13 +32,13 @@ use crate::cache::{ArtifactCache, CacheError};
 use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
 use tpx_dtl::pattern::MsoDefinable;
 use tpx_dtl::{
-    try_compile_counterexample_traced, try_compile_schema_nbta, try_dtl_text_preserving_traced,
-    DtlCheckReport, DtlDecideError, DtlSchemaArtifacts, DtlTransducer, DtlTransducerArtifacts,
+    compile_counterexample, compile_schema_nbta, dtl_text_preserving_with, DtlCheckReport,
+    DtlDecideError, DtlSchemaArtifacts, DtlTransducer, DtlTransducerArtifacts,
 };
 use tpx_obs::{SpanFields, Tracer};
 use tpx_topdown::{
-    try_compile_schema_artifacts, try_compile_transducer_artifacts_traced,
-    try_is_text_preserving_traced, SchemaArtifacts, Transducer, TransducerArtifacts,
+    compile_schema_artifacts, compile_transducer_artifacts, is_text_preserving_with,
+    SchemaArtifacts, Transducer, TransducerArtifacts,
 };
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_debug, stable_hash_of, StableHasher};
@@ -100,7 +101,7 @@ impl StageKey {
 /// A text-preservation decision procedure for one fixed transducer.
 ///
 /// `Sync` so a batch of checks can share one decider across the worker
-/// threads of [`crate::Engine::check_many`].
+/// threads of [`crate::Engine::check_many_governed`].
 pub trait Decider: Sync {
     /// A short name for reports (`"topdown"`, `"dtl"`).
     fn name(&self) -> &'static str;
@@ -117,7 +118,7 @@ pub trait Decider: Sync {
     /// The cacheable artifact stages this check will consult, in pipeline
     /// order. The batch scheduler deduplicates these across a batch and
     /// prefetches each distinct stage as its own schedulable task, so the
-    /// subsequent [`Decider::check_traced`] call finds every declared
+    /// subsequent [`Decider::check`] call finds every declared
     /// artifact already built. The default (no declared stages) keeps the
     /// whole pipeline inside the check task — correct, just unscheduled.
     fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
@@ -129,7 +130,7 @@ pub trait Decider: Sync {
     /// [`Decider::artifact_stages`]) into `cache`, under a fresh
     /// per-stage budget from `options`. Returns the stage's
     /// [`StageReport`]. Prefetch failures are non-fatal to the batch: the
-    /// finalizing [`Decider::check_traced`] retries the build under its
+    /// finalizing [`Decider::check`] retries the build under its
     /// own budget, so a budget-starved or panicked prefetch only loses
     /// the overlap, never the verdict.
     fn prefetch_stage(
@@ -155,35 +156,13 @@ pub trait Decider: Sync {
     /// costs nothing). Budget exhaustion, panics inside cached builders,
     /// and construction invariant failures all surface as a
     /// [`DecisionError`].
-    fn check_traced(
+    fn check(
         &self,
         schema: &Nta,
         cache: &ArtifactCache,
         options: &CheckOptions,
         tracer: &Tracer,
     ) -> Result<Verdict, DecisionError>;
-
-    /// [`Decider::check_traced`] with tracing disabled.
-    fn check_governed(
-        &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-    ) -> Result<Verdict, DecisionError> {
-        self.check_traced(schema, cache, options, Tracer::disabled_ref())
-    }
-
-    /// Decides text-preservation over `L(schema)` with no resource limits,
-    /// memoizing expensive intermediates in `cache`.
-    ///
-    /// # Panics
-    ///
-    /// On any [`DecisionError`] — which an unlimited budget reduces to the
-    /// internal-invariant and panic cases.
-    fn check(&self, schema: &Nta, cache: &ArtifactCache) -> Verdict {
-        self.check_governed(schema, cache, &CheckOptions::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// The per-check recording context threaded through the staged helpers:
@@ -226,7 +205,7 @@ where
     let start = Instant::now();
     let fuel_before = budget.fuel_spent();
     let span = tracer.span(kind);
-    let (artifact, hit) = match cache.try_get_or_build(kind, stage.cache_key(), build) {
+    let (artifact, hit) = match cache.get_or_build(kind, stage.cache_key(), build) {
         Ok(r) => r,
         Err(CacheError::Build(e)) => return Err(e),
         Err(CacheError::BuilderPanicked { kind, message }) => {
@@ -332,7 +311,7 @@ impl Decider for TopdownDecider<'_> {
                     stage,
                     SchemaArtifacts::size,
                     || {
-                        try_compile_schema_artifacts(schema, &budget)
+                        compile_schema_artifacts(schema, &budget)
                             .map_err(|b| DecisionError::exhausted("topdown/schema", b))
                     },
                     &mut ctx,
@@ -344,7 +323,7 @@ impl Decider for TopdownDecider<'_> {
                     stage,
                     TransducerArtifacts::size,
                     || {
-                        try_compile_transducer_artifacts_traced(self.t, &budget, tracer)
+                        compile_transducer_artifacts(self.t, &budget, tracer)
                             .map_err(|b| DecisionError::exhausted("topdown/transducer", b))
                     },
                     &mut ctx,
@@ -363,7 +342,7 @@ impl Decider for TopdownDecider<'_> {
             .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
+    fn check(
         &self,
         schema: &Nta,
         cache: &ArtifactCache,
@@ -377,7 +356,7 @@ impl Decider for TopdownDecider<'_> {
             StageKey::shared("topdown/schema", stable_hash_of(schema)),
             SchemaArtifacts::size,
             || {
-                try_compile_schema_artifacts(schema, &budget)
+                compile_schema_artifacts(schema, &budget)
                     .map_err(|b| DecisionError::exhausted("topdown/schema", b))
             },
             &mut StageCtx {
@@ -391,7 +370,7 @@ impl Decider for TopdownDecider<'_> {
             StageKey::shared("topdown/transducer", self.key),
             TransducerArtifacts::size,
             || {
-                try_compile_transducer_artifacts_traced(self.t, &budget, tracer)
+                compile_transducer_artifacts(self.t, &budget, tracer)
                     .map_err(|b| DecisionError::exhausted("topdown/transducer", b))
             },
             &mut StageCtx {
@@ -403,9 +382,8 @@ impl Decider for TopdownDecider<'_> {
         let start = Instant::now();
         let fuel_before = budget.fuel_spent();
         let span = tracer.span("topdown/decide");
-        let report =
-            try_is_text_preserving_traced(&schema_art, &trans_art, schema, &budget, tracer)
-                .map_err(|b| DecisionError::exhausted("topdown/decide", b))?;
+        let report = is_text_preserving_with(&schema_art, &trans_art, schema, &budget, tracer)
+            .map_err(|b| DecisionError::exhausted("topdown/decide", b))?;
         span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
         uncached_stage("topdown/decide", start, fuel_before, &mut stats, &budget);
         let outcome: Outcome = report.into();
@@ -512,7 +490,7 @@ impl<P: MsoDefinable> DtlDecider<'_, P> {
             StageKey::shared("dtl/schema", stable_hash_of(schema)),
             DtlSchemaArtifacts::size,
             || {
-                try_compile_schema_nbta(schema, budget)
+                compile_schema_nbta(schema, budget)
                     .map_err(|b| DecisionError::exhausted("dtl/schema", b))
             },
             &mut StageCtx {
@@ -526,7 +504,7 @@ impl<P: MsoDefinable> DtlDecider<'_, P> {
             StageKey::shared("dtl/counterexample", self.ce_key(n_symbols)),
             DtlTransducerArtifacts::size,
             || {
-                try_compile_counterexample_traced(self.t, n_symbols, budget, tracer)
+                compile_counterexample(self.t, n_symbols, budget, tracer)
                     .map_err(|e| dtl_error("dtl/counterexample", e))
             },
             &mut StageCtx {
@@ -538,7 +516,7 @@ impl<P: MsoDefinable> DtlDecider<'_, P> {
         let start = Instant::now();
         let fuel_before = budget.fuel_spent();
         let span = tracer.span("dtl/decide");
-        let report = try_dtl_text_preserving_traced(&ce_art, &schema_art, budget, tracer)
+        let report = dtl_text_preserving_with(&ce_art, &schema_art, budget, tracer)
             .map_err(|e| dtl_error("dtl/decide", e))?;
         span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
         uncached_stage("dtl/decide", start, fuel_before, stats, budget);
@@ -596,7 +574,7 @@ where
                     stage,
                     DtlSchemaArtifacts::size,
                     || {
-                        try_compile_schema_nbta(schema, &budget)
+                        compile_schema_nbta(schema, &budget)
                             .map_err(|b| DecisionError::exhausted("dtl/schema", b))
                     },
                     &mut ctx,
@@ -609,7 +587,7 @@ where
                     stage,
                     DtlTransducerArtifacts::size,
                     || {
-                        try_compile_counterexample_traced(self.t, n_symbols, &budget, tracer)
+                        compile_counterexample(self.t, n_symbols, &budget, tracer)
                             .map_err(|e| dtl_error("dtl/counterexample", e))
                     },
                     &mut ctx,
@@ -628,7 +606,7 @@ where
             .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
+    fn check(
         &self,
         schema: &Nta,
         cache: &ArtifactCache,

@@ -1,5 +1,5 @@
-//! The [`Engine`]: a shared artifact cache plus single and batch check
-//! entry points, governed and ungoverned, with opt-in tracing and metrics.
+//! The [`Engine`]: a shared artifact cache plus one single and one batch
+//! check entry point, both governed, with opt-in tracing and metrics.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,8 +33,8 @@ pub struct BatchStats {
 }
 
 /// The decision engine: owns the [`ArtifactCache`] shared by every check it
-/// runs, a worker count for [`Engine::check_many`], and the (disabled by
-/// default) [`Tracer`] and [`Metrics`] every check reports to.
+/// runs, a worker count for [`Engine::check_many_governed`], and the
+/// (disabled by default) [`Tracer`] and [`Metrics`] every check reports to.
 pub struct Engine {
     cache: ArtifactCache,
     jobs: usize,
@@ -127,17 +127,6 @@ impl Engine {
         *self.batch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs one check through the shared cache.
-    ///
-    /// # Panics
-    ///
-    /// On any [`DecisionError`] — which the unlimited budget used here
-    /// reduces to the internal-invariant and panic cases.
-    pub fn check(&self, decider: &dyn Decider, schema: &Nta) -> Verdict {
-        self.check_governed(decider, schema, &CheckOptions::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs one governed check through the shared cache: the task runs
     /// under the fuel/deadline budget of `options` and inside
     /// `catch_unwind`, so budget exhaustion *and* panics come back as a
@@ -149,6 +138,10 @@ impl Engine {
     /// contain no user code, and `OnceLock` slots that stay uninitialized
     /// when a builder unwinds — so the shared cache is observably
     /// consistent (and fully serviceable) after a caught panic.
+    ///
+    /// Callers without limits pass [`CheckOptions::unlimited`], under which
+    /// an error can only be a caught panic or an internal-invariant
+    /// failure.
     pub fn check_governed(
         &self,
         decider: &dyn Decider,
@@ -169,7 +162,7 @@ impl Engine {
     ) -> Result<Verdict, DecisionError> {
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            decider.check_traced(schema, &self.cache, options, &self.tracer)
+            decider.check(schema, &self.cache, options, &self.tracer)
         }))
         .unwrap_or_else(|payload| {
             Err(DecisionError::Panicked {
@@ -194,27 +187,14 @@ impl Engine {
     /// in deterministic FIFO order, so verdicts *and* aggregated metrics
     /// are identical whatever the worker count.
     ///
-    /// # Panics
-    ///
-    /// If any task fails (which under the unlimited budget means a panic
-    /// inside its decider, isolated per task). Every *other* task still
-    /// runs to completion first; use [`Engine::check_many_governed`] to
-    /// receive per-task results instead.
-    pub fn check_many(&self, tasks: &[Task<'_>]) -> Vec<Verdict> {
-        self.check_many_governed(tasks, &CheckOptions::unlimited())
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-            .collect()
-    }
-
-    /// Governed [`Engine::check_many`]: each task gets a fresh budget from
-    /// `options` and runs inside `catch_unwind`, so one exhausted or
-    /// panicking task cannot take down the batch — the remaining tasks
-    /// still produce verdicts, in input order, and the shared cache stays
-    /// serviceable (see [`Engine::check_governed`] for the unwind-safety
-    /// argument). Stage prefetches are budgeted and isolated the same
-    /// way, and their failures are non-fatal: the owning check retries
-    /// the build under its own budget.
+    /// Each task gets a fresh budget from `options` and runs inside
+    /// `catch_unwind`, so one exhausted or panicking task cannot take down
+    /// the batch — the remaining tasks still produce verdicts, in input
+    /// order, and the shared cache stays serviceable (see
+    /// [`Engine::check_governed`] for the unwind-safety argument). Stage
+    /// prefetches are budgeted and isolated the same way, and their
+    /// failures are non-fatal: the owning check retries the build under
+    /// its own budget.
     ///
     /// Observability: spans from all workers land on the engine's shared
     /// tracer (interleaved across tasks, but every span still closes); each

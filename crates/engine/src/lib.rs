@@ -14,7 +14,7 @@
 //! schema side once, and checking one transducer against many schemas
 //! compiles the transducer side once.
 //!
-//! [`Engine::check_many`] turns a batch of `(decider, schema)` tasks into a
+//! [`Engine::check_many_governed`] turns a batch of `(decider, schema)` tasks into a
 //! *stage graph*: the distinct artifacts the batch needs are deduplicated
 //! up front and prefetched as their own tasks, with each check scheduled
 //! once its artifacts exist. A work-stealing `std::thread::scope` pool
@@ -22,17 +22,23 @@
 //! entry still builds exactly once, and a single-worker run is fully
 //! deterministic.
 //!
+//! Every check is governed: it runs under the fuel/deadline budget of a
+//! [`CheckOptions`] and returns a [`DecisionError`] instead of panicking.
+//! Callers without limits pass [`CheckOptions::unlimited`].
+//!
 //! ```
-//! use tpx_engine::{Engine, TopdownDecider};
+//! use tpx_engine::{CheckOptions, Engine, TopdownDecider};
 //!
 //! let (alpha, schema) = tpx_workload::chain_schema(3);
 //! let t = tpx_workload::identity_transducer(&alpha);
 //! let engine = Engine::new();
-//! let verdict = engine.check(&TopdownDecider::new(&t), &schema);
+//! let unlimited = CheckOptions::unlimited();
+//! let verdict = engine.check_governed(&TopdownDecider::new(&t), &schema, &unlimited)?;
 //! assert!(verdict.is_preserving());
 //! // A second check against the same schema hits the cache.
-//! let verdict = engine.check(&TopdownDecider::new(&t), &schema);
+//! let verdict = engine.check_governed(&TopdownDecider::new(&t), &schema, &unlimited)?;
 //! assert!(verdict.stats.stage("topdown/schema").unwrap().cache_hit == Some(true));
+//! # Ok::<(), tpx_engine::DecisionError>(())
 //! ```
 
 pub mod analysis;

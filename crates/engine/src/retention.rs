@@ -28,9 +28,9 @@ use crate::decider::{governed_stage, uncached_stage, Decider, StageCtx, StageKey
 use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
 use tpx_obs::{SpanFields, Tracer};
 use tpx_topdown::extensions::{
-    try_compile_retention_artifacts, try_deleted_text_under_with, RetentionArtifacts,
+    compile_retention_artifacts, deleted_text_under_with, RetentionArtifacts,
 };
-use tpx_topdown::{try_compile_schema_artifacts, SchemaArtifacts, Transducer};
+use tpx_topdown::{compile_schema_artifacts, SchemaArtifacts, Transducer};
 use tpx_treeauto::Nta;
 use tpx_trees::{stable_hash_of, Symbol};
 
@@ -98,7 +98,7 @@ impl Decider for TextRetentionDecider<'_> {
                     stage,
                     SchemaArtifacts::size,
                     || {
-                        try_compile_schema_artifacts(schema, &budget)
+                        compile_schema_artifacts(schema, &budget)
                             .map_err(|b| DecisionError::exhausted("topdown/schema", b))
                     },
                     &mut ctx,
@@ -110,7 +110,7 @@ impl Decider for TextRetentionDecider<'_> {
                     stage,
                     RetentionArtifacts::size,
                     || {
-                        try_compile_retention_artifacts(self.t, &budget).map_err(|b| {
+                        compile_retention_artifacts(self.t, &budget).map_err(|b| {
                             DecisionError::exhausted("topdown/retention/transducer", b)
                         })
                     },
@@ -130,7 +130,7 @@ impl Decider for TextRetentionDecider<'_> {
             .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
     }
 
-    fn check_traced(
+    fn check(
         &self,
         schema: &Nta,
         cache: &ArtifactCache,
@@ -144,7 +144,7 @@ impl Decider for TextRetentionDecider<'_> {
             StageKey::shared("topdown/schema", stable_hash_of(schema)),
             SchemaArtifacts::size,
             || {
-                try_compile_schema_artifacts(schema, &budget)
+                compile_schema_artifacts(schema, &budget)
                     .map_err(|b| DecisionError::exhausted("topdown/schema", b))
             },
             &mut StageCtx {
@@ -158,7 +158,7 @@ impl Decider for TextRetentionDecider<'_> {
             StageKey::of(TEXT_RETENTION, "topdown/retention/transducer", self.key),
             RetentionArtifacts::size,
             || {
-                try_compile_retention_artifacts(self.t, &budget)
+                compile_retention_artifacts(self.t, &budget)
                     .map_err(|b| DecisionError::exhausted("topdown/retention/transducer", b))
             },
             &mut StageCtx {
@@ -170,7 +170,7 @@ impl Decider for TextRetentionDecider<'_> {
         let start = Instant::now();
         let fuel_before = budget.fuel_spent();
         let span = tracer.span("topdown/retention/decide");
-        let witness = try_deleted_text_under_with(&schema_art, &trans_art, &self.labels, &budget)
+        let witness = deleted_text_under_with(&schema_art, &trans_art, &self.labels, &budget)
             .map_err(|b| DecisionError::exhausted("topdown/retention/decide", b))?;
         span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
         uncached_stage(

@@ -35,7 +35,7 @@
 //!
 //! The executor makes no fairness or ordering promises beyond the
 //! dependency edges; callers that need deterministic *output* must index
-//! results by node (as [`crate::Engine::check_many`] does) rather than
+//! results by node (as [`crate::Engine::check_many_governed`] does) rather than
 //! rely on completion order.
 
 use std::collections::VecDeque;

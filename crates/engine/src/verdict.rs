@@ -100,7 +100,7 @@ pub struct StageReport {
     /// Whether the artifact came out of the cache (`Some(true)`), was built
     /// by this check (`Some(false)`), or the stage is uncached (`None`).
     ///
-    /// In a batch ([`crate::Engine::check_many`]) the attribution is
+    /// In a batch ([`crate::Engine::check_many_governed`]) the attribution is
     /// deterministic: the scheduler prefetches every declared stage before
     /// the check runs, so the miss belongs to the prefetch task and the
     /// check itself reports a hit — identically on 1 or N workers.

@@ -1,8 +1,9 @@
 //! Concurrency contracts of the sharded [`ArtifactCache`] and the batch
 //! scheduler: exactly-once builds under heavy seeded contention, exact
 //! hit/miss accounting, the per-shard eviction bound, and determinism of
-//! `check_many` across worker counts.
+//! `check_many_governed` across worker counts.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,10 +49,14 @@ fn stress_unbounded_builds_each_key_exactly_once() {
                 let mut rng = Rng(0x9E37_79B9 + t as u64);
                 for _ in 0..OPS_PER_THREAD {
                     let key = rng.next() % DISTINCT_KEYS;
-                    let (v, _) = cache.get_or_build("stress", key, || {
-                        builds[key as usize].fetch_add(1, Ordering::SeqCst);
-                        key
-                    });
+                    let (v, _) = cache
+                        .get_or_build("stress", key, || {
+                            Ok::<_, Infallible>({
+                                builds[key as usize].fetch_add(1, Ordering::SeqCst);
+                                key
+                            })
+                        })
+                        .unwrap();
                     assert_eq!(*v, key, "cache returned another key's artifact");
                 }
             });
@@ -97,10 +102,14 @@ fn stress_bounded_cache_keeps_eviction_invariants() {
                 let mut rng = Rng(0xDEAD_BEEF + t as u64);
                 for i in 0..OPS_PER_THREAD {
                     let key = rng.next() % DISTINCT_KEYS;
-                    let (v, _) = cache.get_or_build("stress", key, || {
-                        builds.fetch_add(1, Ordering::SeqCst);
-                        key
-                    });
+                    let (v, _) = cache
+                        .get_or_build("stress", key, || {
+                            Ok::<_, Infallible>({
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                key
+                            })
+                        })
+                        .unwrap();
                     assert_eq!(*v, key);
                     if i % 64 == 0 {
                         assert!(
@@ -163,7 +172,7 @@ fn run_suite(jobs: usize) -> (Vec<Verdict>, std::collections::BTreeMap<String, u
     (verdicts, metrics.snapshot().counters)
 }
 
-/// `check_many` is deterministic in everything but timing: verdicts (in
+/// `check_many_governed` is deterministic in everything but timing: verdicts (in
 /// task order, including per-stage cache attribution) and every aggregated
 /// metric *counter* are identical for `jobs ∈ {1, 2, 4}`. The scheduler
 /// guarantees this by prefetching each declared artifact before any check
@@ -207,14 +216,23 @@ fn check_many_is_deterministic_across_jobs_1_2_4() {
 /// panic isolation and result ordering survive parallel scheduling.
 #[test]
 fn parallel_batches_match_sequential_under_contention() {
+    let unlimited = CheckOptions::unlimited();
     let alpha = transducers::plain_alphabet(2);
     let schema = universal(&alpha);
     let t = transducers::identity_transducer(&alpha);
     // Many tasks over one (decider, schema): maximal slot contention.
     let d = TopdownDecider::new(&t);
     let tasks: Vec<Task> = (0..32).map(|_| (&d as &dyn Decider, &schema)).collect();
-    let sequential = Engine::with_jobs(1).check_many(&tasks);
-    let parallel = Engine::with_jobs(8).check_many(&tasks);
+    let sequential = Engine::with_jobs(1)
+        .check_many_governed(&tasks, &unlimited)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
+    let parallel = Engine::with_jobs(8)
+        .check_many_governed(&tasks, &unlimited)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
     assert_eq!(sequential.len(), parallel.len());
     for (a, b) in sequential.iter().zip(&parallel) {
         assert_eq!(a.is_preserving(), b.is_preserving());
@@ -222,7 +240,9 @@ fn parallel_batches_match_sequential_under_contention() {
     // 32 checks, 2 distinct stages: the parallel engine deduplicated them
     // into exactly 2 stage tasks too.
     let engine = Engine::with_jobs(8);
-    engine.check_many(&tasks);
+    for r in engine.check_many_governed(&tasks, &unlimited) {
+        r.unwrap();
+    }
     let batch = engine.batch_stats();
     assert_eq!(batch.stage_tasks, 2);
     assert_eq!(batch.checks, 32);

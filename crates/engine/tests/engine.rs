@@ -22,15 +22,22 @@ fn universal(alpha: &Alphabet) -> Nta {
 
 #[test]
 fn schema_artifacts_compile_once_across_transducers() {
+    let unlimited = CheckOptions::unlimited();
     let (alpha, schema) = chain_schema(4);
     let engine = Engine::new();
     // Three distinct transducers against ONE schema.
     let t1 = transducers::identity_transducer(&alpha);
     let t2 = transducers::deep_selector(&alpha, 3);
     let t3 = transducers::copier_at_depth(&alpha, 3, 1);
-    let v1 = engine.check(&TopdownDecider::new(&t1), &schema);
-    let v2 = engine.check(&TopdownDecider::new(&t2), &schema);
-    let v3 = engine.check(&TopdownDecider::new(&t3), &schema);
+    let v1 = engine
+        .check_governed(&TopdownDecider::new(&t1), &schema, &unlimited)
+        .unwrap();
+    let v2 = engine
+        .check_governed(&TopdownDecider::new(&t2), &schema, &unlimited)
+        .unwrap();
+    let v3 = engine
+        .check_governed(&TopdownDecider::new(&t3), &schema, &unlimited)
+        .unwrap();
     // First check builds the schema artifact; the later two hit it.
     assert_eq!(
         v1.stats.stage("topdown/schema").unwrap().cache_hit,
@@ -51,13 +58,14 @@ fn schema_artifacts_compile_once_across_transducers() {
 
 #[test]
 fn transducer_artifacts_reused_across_schemas() {
+    let unlimited = CheckOptions::unlimited();
     let (alpha, chain) = chain_schema(3);
     let uni = universal(&alpha);
     let t = transducers::identity_transducer(&alpha);
     let engine = Engine::new();
     let d = TopdownDecider::new(&t);
-    let v1 = engine.check(&d, &chain);
-    let v2 = engine.check(&d, &uni);
+    let v1 = engine.check_governed(&d, &chain, &unlimited).unwrap();
+    let v2 = engine.check_governed(&d, &uni, &unlimited).unwrap();
     assert_eq!(
         v1.stats.stage("topdown/transducer").unwrap().cache_hit,
         Some(false)
@@ -73,14 +81,19 @@ fn transducer_artifacts_reused_across_schemas() {
 
 #[test]
 fn equal_content_shares_cache_entries() {
+    let unlimited = CheckOptions::unlimited();
     // Two separately built but structurally identical transducers share
     // one artifact (content hashing, not identity hashing).
     let (alpha, schema) = chain_schema(3);
     let t1 = transducers::identity_transducer(&alpha);
     let t2 = transducers::identity_transducer(&alpha);
     let engine = Engine::new();
-    engine.check(&TopdownDecider::new(&t1), &schema);
-    let v = engine.check(&TopdownDecider::new(&t2), &schema);
+    engine
+        .check_governed(&TopdownDecider::new(&t1), &schema, &unlimited)
+        .unwrap();
+    let v = engine
+        .check_governed(&TopdownDecider::new(&t2), &schema, &unlimited)
+        .unwrap();
     assert_eq!(
         v.stats.stage("topdown/transducer").unwrap().cache_hit,
         Some(true)
@@ -95,7 +108,13 @@ fn verdicts_match_one_shot_deciders() {
     for (alpha, schema) in [chain_schema(4), comb_schema(4), recipe_schema()] {
         let engine = Engine::new();
         for (_, t) in transducers::suite(&alpha, 3) {
-            let verdict = engine.check(&TopdownDecider::new(&t), &schema);
+            let verdict = engine
+                .check_governed(
+                    &TopdownDecider::new(&t),
+                    &schema,
+                    &CheckOptions::unlimited(),
+                )
+                .unwrap();
             let report = tpx_topdown::is_text_preserving(&t, &schema);
             assert_eq!(verdict.is_preserving(), report.is_preserving());
             match (&verdict.outcome, &report) {
@@ -118,6 +137,7 @@ fn verdicts_match_one_shot_deciders() {
 
 #[test]
 fn check_many_parallel_matches_sequential() {
+    let unlimited = CheckOptions::unlimited();
     // The full workload suite over all three schema families, checked on 4
     // workers and on 1, must produce identical verdicts in task order.
     let families = [chain_schema(4), comb_schema(4), recipe_schema()];
@@ -137,8 +157,16 @@ fn check_many_parallel_matches_sequential() {
         .map(|(d, (_, schema, _))| (d as &dyn Decider, *schema))
         .collect();
 
-    let parallel = Engine::with_jobs(4).check_many(&tasks);
-    let sequential = Engine::new().check_many(&tasks);
+    let parallel = Engine::with_jobs(4)
+        .check_many_governed(&tasks, &unlimited)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
+    let sequential = Engine::new()
+        .check_many_governed(&tasks, &unlimited)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
     assert_eq!(parallel.len(), tasks.len());
     for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
         let alpha = owned[i].2;
@@ -173,7 +201,11 @@ fn check_many_parallel_never_recompiles() {
         .map(|i| (&d as &dyn Decider, if i % 2 == 0 { &chain } else { &uni }))
         .collect();
     let engine = Engine::with_jobs(4);
-    let verdicts = engine.check_many(&tasks);
+    let verdicts = engine
+        .check_many_governed(&tasks, &CheckOptions::unlimited())
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
     assert!(verdicts.iter().all(|v| v.is_preserving()));
     let stats = engine.cache_stats();
     assert_eq!(stats.misses, 3, "2 schemas + 1 transducer, built once each");
@@ -189,6 +221,7 @@ fn check_many_parallel_never_recompiles() {
 
 #[test]
 fn dtl_decider_caches_both_sides() {
+    let unlimited = CheckOptions::unlimited();
     let al = Alphabet::from_labels(["a", "b"]);
     let uni = universal(&al);
     // Identity DTL transducer.
@@ -205,8 +238,12 @@ fn dtl_decider_caches_both_sides() {
     let t2 = b.finish();
 
     let engine = Engine::new();
-    let v1 = engine.check(&DtlDecider::new(&t1), &uni);
-    let v2 = engine.check(&DtlDecider::new(&t2), &uni);
+    let v1 = engine
+        .check_governed(&DtlDecider::new(&t1), &uni, &unlimited)
+        .unwrap();
+    let v2 = engine
+        .check_governed(&DtlDecider::new(&t2), &uni, &unlimited)
+        .unwrap();
     assert!(v1.is_preserving() && v2.is_preserving());
     assert_eq!(v1.stats.stage("dtl/schema").unwrap().cache_hit, Some(false));
     assert_eq!(
@@ -215,7 +252,9 @@ fn dtl_decider_caches_both_sides() {
         "schema NBTA compiled once across two DTL transducers"
     );
     // Same transducer again: the expensive MSO→NBTA compilation hits.
-    let v3 = engine.check(&DtlDecider::new(&t1), &uni);
+    let v3 = engine
+        .check_governed(&DtlDecider::new(&t1), &uni, &unlimited)
+        .unwrap();
     assert_eq!(
         v3.stats.stage("dtl/counterexample").unwrap().cache_hit,
         Some(true)
@@ -243,7 +282,9 @@ fn dtl_witness_surfaces_in_outcome() {
         )],
     );
     t.set_text_rule(tpx_dtl::DtlState(0), true);
-    let verdict = Engine::new().check(&DtlDecider::new(&t), &uni);
+    let verdict = Engine::new()
+        .check_governed(&DtlDecider::new(&t), &uni, &CheckOptions::unlimited())
+        .unwrap();
     let Outcome::NotPreserving { witness } = &verdict.outcome else {
         panic!("doubling must be detected, got {:?}", verdict.outcome);
     };
@@ -259,7 +300,7 @@ impl Decider for PanickingDecider {
         "panicking"
     }
 
-    fn check_traced(
+    fn check(
         &self,
         _schema: &Nta,
         _cache: &ArtifactCache,
@@ -304,7 +345,9 @@ fn generous_budget_changes_no_verdict() {
         let options = CheckOptions::with_budget(Budget::default().with_fuel(50_000_000));
         for (name, t) in transducers::suite(&alpha, 3) {
             let d = TopdownDecider::new(&t);
-            let plain = engine.check(&d, &schema);
+            let plain = engine
+                .check_governed(&d, &schema, &CheckOptions::unlimited())
+                .unwrap();
             let governed = governed_engine
                 .check_governed(&d, &schema, &options)
                 .unwrap_or_else(|e| panic!("{name:?}: generous budget exhausted: {e}"));
@@ -375,6 +418,7 @@ fn dtl_exhaustion_degrades_to_bounded_oracle() {
 
 #[test]
 fn panicking_task_yields_other_verdicts_in_order() {
+    let unlimited = CheckOptions::unlimited();
     let (alpha, schema) = chain_schema(4);
     let good: Vec<_> = (1..=4)
         .map(|d| transducers::deep_selector(&alpha, d))
@@ -388,7 +432,7 @@ fn panicking_task_yields_other_verdicts_in_order() {
         .collect();
     tasks.insert(2, (&bad as &dyn Decider, &schema));
     for engine in [Engine::new(), Engine::with_jobs(4)] {
-        let results = engine.check_many_governed(&tasks, &CheckOptions::unlimited());
+        let results = engine.check_many_governed(&tasks, &unlimited);
         assert_eq!(results.len(), tasks.len());
         for (i, r) in results.iter().enumerate() {
             if i == 2 {
@@ -401,7 +445,9 @@ fn panicking_task_yields_other_verdicts_in_order() {
             }
         }
         // The shared cache survived the panic and stays serviceable.
-        let after = engine.check(&deciders[0], &schema);
+        let after = engine
+            .check_governed(&deciders[0], &schema, &unlimited)
+            .unwrap();
         assert_eq!(
             after.stats.stage("topdown/schema").unwrap().cache_hit,
             Some(true),
@@ -414,7 +460,13 @@ fn panicking_task_yields_other_verdicts_in_order() {
 fn stats_report_every_stage() {
     let (alpha, schema) = chain_schema(3);
     let t = transducers::identity_transducer(&alpha);
-    let v = Engine::new().check(&TopdownDecider::new(&t), &schema);
+    let v = Engine::new()
+        .check_governed(
+            &TopdownDecider::new(&t),
+            &schema,
+            &CheckOptions::unlimited(),
+        )
+        .unwrap();
     assert_eq!(v.decider, "topdown");
     let names: Vec<&str> = v.stats.stages.iter().map(|s| s.stage).collect();
     assert_eq!(

@@ -85,19 +85,10 @@ impl CompileCache {
 }
 
 /// [`compile`] with memoization on every recursive step.
+///
+/// Only successful compilations are memoized, so a budget-aborted
+/// compilation can be retried with a larger budget.
 pub fn compile_cached(
-    phi: &Formula,
-    ctx: &[VarKey],
-    n_symbols: usize,
-    cache: &mut CompileCache,
-) -> Nbta<MSym> {
-    try_compile_cached(phi, ctx, n_symbols, cache, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`compile_cached`]: only successful compilations are memoized,
-/// so a budget-aborted compilation can be retried with a larger budget.
-pub fn try_compile_cached(
     phi: &Formula,
     ctx: &[VarKey],
     n_symbols: usize,
@@ -136,12 +127,7 @@ fn bit_of(ctx: &[VarKey], k: VarKey) -> Result<usize, CompileError> {
 
 /// Compiles `φ` against the given context (which must contain all free
 /// variables of `φ`).
-pub fn compile(phi: &Formula, ctx: &[VarKey], n_symbols: usize) -> Nbta<MSym> {
-    try_compile(phi, ctx, n_symbols, &BudgetHandle::unlimited()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted, fallible [`compile`].
-pub fn try_compile(
+pub fn compile(
     phi: &Formula,
     ctx: &[VarKey],
     n_symbols: usize,
@@ -158,7 +144,7 @@ fn rec(
     budget: &BudgetHandle,
 ) -> Result<Nbta<MSym>, CompileError> {
     match cache {
-        Some(c) => try_compile_cached(phi, ctx, n_symbols, c, budget),
+        Some(c) => compile_cached(phi, ctx, n_symbols, c, budget),
         None => compile_inner(phi, ctx, n_symbols, &mut None, budget),
     }
 }
@@ -217,12 +203,12 @@ fn compile_inner(
         Formula::And(a, b) => {
             let aa = rec(a, ctx, n_symbols, cache, budget)?;
             let bb = rec(b, ctx, n_symbols, cache, budget)?;
-            aa.try_intersect(&bb, budget)?.try_trim(budget)?
+            aa.intersect(&bb, budget)?.trim(budget)?
         }
         Formula::Or(a, b) => {
             let aa = rec(a, ctx, n_symbols, cache, budget)?;
             let bb = rec(b, ctx, n_symbols, cache, budget)?;
-            aa.union(&bb).try_trim(budget)?
+            aa.union(&bb).trim(budget)?
         }
         Formula::Not(a) => match pushed_negation(a) {
             // Negation stays symbolic where the formula shape allows: De
@@ -236,17 +222,17 @@ fn compile_inner(
             let inner = extend_ctx(ctx, VarKey::Fo(*v));
             let body = rec(a, &inner, n_symbols, cache, budget)?;
             let guarded = body
-                .try_intersect(
+                .intersect(
                     &atomic::singleton(n_symbols, inner.len(), ctx.len()),
                     budget,
                 )?
-                .try_trim(budget)?;
+                .trim(budget)?;
             project_last_bit(&guarded, n_symbols, ctx.len(), budget)?
         }
         Formula::ExistsSo(v, a) => {
             let inner = extend_ctx(ctx, VarKey::So(*v));
             let body = rec(a, &inner, n_symbols, cache, budget)?;
-            project_last_bit(&body.try_trim(budget)?, n_symbols, ctx.len(), budget)?
+            project_last_bit(&body.trim(budget)?, n_symbols, ctx.len(), budget)?
         }
         Formula::ForallFo(v, a) => {
             // ∀x φ = ¬∃x ¬φ.
@@ -295,10 +281,7 @@ fn extend_ctx(ctx: &[VarKey], k: VarKey) -> Vec<VarKey> {
 }
 
 fn complement(a: &Nbta<MSym>, budget: &BudgetHandle) -> Result<Nbta<MSym>, BudgetExceeded> {
-    a.try_determinize(budget)?
-        .complement()
-        .to_nbta()
-        .try_trim(budget)
+    a.determinize(budget)?.complement().to_nbta().trim(budget)
 }
 
 /// Drops the highest bit (the variable at position `width`, i.e. the last
@@ -316,7 +299,7 @@ fn project_last_bit(
     });
     // map_symbols derives alphabets from the source; normalize to the
     // canonical alphabets for this width.
-    rebuild_alphabets(&projected, n_symbols, width, budget)?.try_trim(budget)
+    rebuild_alphabets(&projected, n_symbols, width, budget)?.trim(budget)
 }
 
 /// Rebuilds `a` with the canonical alphabets for `width` bits (languages
@@ -357,28 +340,22 @@ fn rebuild_alphabets(
 
 /// Compiles a sentence (no free variables) to an automaton over plain
 /// encoding symbols: the regular language `{ t : t ⊨ φ }`.
-pub fn compile_sentence(phi: &Formula, n_symbols: usize) -> Nbta<EncSym> {
+pub fn compile_sentence(
+    phi: &Formula,
+    n_symbols: usize,
+    budget: &BudgetHandle,
+) -> Result<Nbta<EncSym>, CompileError> {
     let (fo, so) = phi.free_vars();
     assert!(
         fo.is_empty() && so.is_empty(),
         "compile_sentence requires a closed formula"
     );
-    let a = compile(phi, &[], n_symbols);
-    strip_bits(&a, n_symbols)
+    let a = compile(phi, &[], n_symbols, budget)?;
+    Ok(strip_bits(&a, n_symbols, budget)?)
 }
 
 /// As [`compile_sentence`], but with memoization across calls.
 pub fn compile_sentence_cached(
-    phi: &Formula,
-    n_symbols: usize,
-    cache: &mut CompileCache,
-) -> Nbta<EncSym> {
-    try_compile_sentence_cached(phi, n_symbols, cache, &BudgetHandle::unlimited())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Budgeted [`compile_sentence_cached`].
-pub fn try_compile_sentence_cached(
     phi: &Formula,
     n_symbols: usize,
     cache: &mut CompileCache,
@@ -389,18 +366,13 @@ pub fn try_compile_sentence_cached(
         fo.is_empty() && so.is_empty(),
         "compile_sentence requires a closed formula"
     );
-    let a = try_compile_cached(phi, &[], n_symbols, cache, budget)?;
-    Ok(try_strip_bits(&a, n_symbols, budget)?)
+    let a = compile_cached(phi, &[], n_symbols, cache, budget)?;
+    Ok(strip_bits(&a, n_symbols, budget)?)
 }
 
 /// Converts a zero-bit marked automaton into one over plain encoding
 /// symbols.
-pub fn strip_bits(a: &Nbta<MSym>, n_symbols: usize) -> Nbta<EncSym> {
-    try_strip_bits(a, n_symbols, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`strip_bits`].
-pub fn try_strip_bits(
+pub fn strip_bits(
     a: &Nbta<MSym>,
     n_symbols: usize,
     budget: &BudgetHandle,
@@ -430,7 +402,7 @@ pub fn try_strip_bits(
             }
         }
     }
-    out.try_trim(budget)
+    out.trim(budget)
 }
 
 /// Re-embeds an automaton compiled at a narrow context into a wider one:
@@ -464,12 +436,7 @@ pub fn lift(a: &Nbta<MSym>, n_symbols: usize, positions: &[usize], to_width: usi
 /// guarding it as a singleton when `fo` is true (first-order variables).
 /// No determinization: projection of a nondeterministic automaton is a
 /// relabelling.
-pub fn project_bit(a: &Nbta<MSym>, n_symbols: usize, width: usize, fo: bool) -> Nbta<MSym> {
-    try_project_bit(a, n_symbols, width, fo, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`project_bit`].
-pub fn try_project_bit(
+pub fn project_bit(
     a: &Nbta<MSym>,
     n_symbols: usize,
     width: usize,
@@ -477,10 +444,10 @@ pub fn try_project_bit(
     budget: &BudgetHandle,
 ) -> Result<Nbta<MSym>, BudgetExceeded> {
     let guarded = if fo {
-        a.try_intersect(&atomic::singleton(n_symbols, width + 1, width), budget)?
-            .try_trim(budget)?
+        a.intersect(&atomic::singleton(n_symbols, width + 1, width), budget)?
+            .trim(budget)?
     } else {
-        a.try_trim(budget)?
+        a.trim(budget)?
     };
     project_last_bit(&guarded, n_symbols, width, budget)
 }
@@ -543,21 +510,6 @@ fn build_marked(
     }
 }
 
-/// Convenience: model checking through the compiled automaton (used to
-/// validate the compiler against [`crate::eval::naive_eval`]).
-pub fn compiled_eval(
-    t: &Tree,
-    phi: &Formula,
-    ctx: &[VarKey],
-    asg: &crate::eval::Assignment,
-    n_symbols: usize,
-) -> bool {
-    let a = compile(phi, ctx, n_symbols);
-    // Free FO variables must be singleton-marked for the automaton route to
-    // coincide with the logical semantics; the assignment guarantees it.
-    a.accepts(&marked_encoding(t, ctx, asg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,11 +540,11 @@ mod tests {
         for src in SAMPLES {
             let mut al = alpha();
             let t = parse_tree(src, &mut al).unwrap();
-            let a = compile(&phi, &ctx, al.len());
+            let a = compile(&phi, &ctx, al.len(), &BudgetHandle::unlimited()).unwrap();
             for &n1 in &t.dfs() {
                 for &n2 in &t.dfs() {
                     let asg = Assignment::new().bind(x, n1).bind(y, n2);
-                    let expect = naive_eval(&t, &phi, &asg);
+                    let expect = naive_eval(&t, &phi, &asg).unwrap();
                     let got = a.accepts(&marked_encoding(&t, &ctx, &asg));
                     assert_eq!(got, expect, "{phi_name} on {src} at {n1:?},{n2:?}");
                 }
@@ -640,10 +592,10 @@ mod tests {
             for src in SAMPLES {
                 let mut al = alpha();
                 let t = parse_tree(src, &mut al).unwrap();
-                let a = compile(phi, &ctx, al.len());
+                let a = compile(phi, &ctx, al.len(), &BudgetHandle::unlimited()).unwrap();
                 for &n in &t.dfs() {
                     let asg = Assignment::new().bind(x, n);
-                    let expect = naive_eval(&t, phi, &asg);
+                    let expect = naive_eval(&t, phi, &asg).unwrap();
                     let got = a.accepts(&marked_encoding(&t, &ctx, &asg));
                     assert_eq!(got, expect, "{name} on {src} at {n:?}");
                 }
@@ -670,7 +622,7 @@ mod tests {
         let x = g.var();
         // ∃x lab_b(x): trees containing a b-node.
         let phi = Formula::exists(x, Formula::Lab(al.sym("b"), x));
-        let a = compile_sentence(&phi, al.len());
+        let a = compile_sentence(&phi, al.len(), &BudgetHandle::unlimited()).unwrap();
         for (src, expect) in [
             ("a", false),
             ("a(b)", true),
@@ -686,6 +638,7 @@ mod tests {
 
     #[test]
     fn forall_fo_sentence() {
+        let budget = BudgetHandle::unlimited();
         let mut al = alpha();
         let mut g = VarGen::new();
         let x = g.var();
@@ -696,13 +649,13 @@ mod tests {
                 .or(Formula::Lab(al.sym("a"), x))
                 .or(Formula::Lab(al.sym("b"), x)),
         );
-        let a = compile_sentence(&phi, al.len());
+        let a = compile_sentence(&phi, al.len(), &budget).unwrap();
         let t = parse_tree(r#"a(b "x")"#, &mut al).unwrap();
         assert!(a.accepts(&tpx_treeauto::convert::encode_for_automata(&t)));
         // ∀x lab_a(x): only pure-a trees.
         let y = g.var();
         let phi2 = Formula::forall(y, Formula::Lab(al.sym("a"), y));
-        let a2 = compile_sentence(&phi2, al.len());
+        let a2 = compile_sentence(&phi2, al.len(), &budget).unwrap();
         let pure = parse_tree("a(a a)", &mut al).unwrap();
         let mixed = parse_tree("a(b)", &mut al).unwrap();
         assert!(a2.accepts(&tpx_treeauto::convert::encode_for_automata(&pure)));
@@ -711,6 +664,7 @@ mod tests {
 
     #[test]
     fn set_quantifier_reachability_agrees_with_descendant() {
+        let budget = BudgetHandle::unlimited();
         // reach(x, y) via ∀Z closure = descendant-or-self(x, y).
         let mut g = VarGen::new();
         let (x, y) = (g.var(), g.var());
@@ -731,8 +685,8 @@ mod tests {
         let ctx = [VarKey::Fo(x), VarKey::Fo(y)];
         let mut al = alpha();
         let t = parse_tree(r#"a(b("t") a)"#, &mut al).unwrap();
-        let a_reach = compile(&reach, &ctx, al.len());
-        let a_dos = compile(&dos, &ctx, al.len());
+        let a_reach = compile(&reach, &ctx, al.len(), &budget).unwrap();
+        let a_dos = compile(&dos, &ctx, al.len(), &budget).unwrap();
         for &n1 in &t.dfs() {
             for &n2 in &t.dfs() {
                 let asg = Assignment::new().bind(x, n1).bind(y, n2);
@@ -744,19 +698,28 @@ mod tests {
 
     #[test]
     fn lift_and_project_compose_like_quantifiers() {
+        let budget = BudgetHandle::unlimited();
         // ∃y child(x, y) computed two ways: through the compiler, and
         // manually via lift + singleton-guarded projection.
         let (x, y) = (Var(0), Var(1));
         let mut al = alpha();
         let n = al.len();
-        let child = compile(&Formula::Child(x, y), &[VarKey::Fo(x), VarKey::Fo(y)], n);
+        let child = compile(
+            &Formula::Child(x, y),
+            &[VarKey::Fo(x), VarKey::Fo(y)],
+            n,
+            &budget,
+        )
+        .unwrap();
         // Manual route: child is already at ctx [x, y]; project bit 1.
-        let manual = crate::compile::project_bit(&child, n, 1, true);
+        let manual = crate::compile::project_bit(&child, n, 1, true, &budget).unwrap();
         let via_compiler = compile(
             &Formula::exists(y, Formula::Child(x, y)),
             &[VarKey::Fo(x)],
             n,
-        );
+            &budget,
+        )
+        .unwrap();
         let t = parse_tree(r#"a(b "t") "#.trim(), &mut al).unwrap();
         let ctx = [VarKey::Fo(x)];
         for &v in &t.dfs() {
@@ -769,12 +732,19 @@ mod tests {
 
     #[test]
     fn lift_reorders_bits_correctly() {
+        let budget = BudgetHandle::unlimited();
         // child(x, y) lifted into a 3-marker context with x ↦ bit 2 and
         // y ↦ bit 0 must test the relation between those markers.
         let (x, y, z) = (Var(0), Var(1), Var(2));
         let mut al = alpha();
         let n = al.len();
-        let child = compile(&Formula::Child(x, y), &[VarKey::Fo(x), VarKey::Fo(y)], n);
+        let child = compile(
+            &Formula::Child(x, y),
+            &[VarKey::Fo(x), VarKey::Fo(y)],
+            n,
+            &budget,
+        )
+        .unwrap();
         let lifted = crate::compile::lift(&child, n, &[2, 0], 3);
         // Equivalent formula at the wide context: Child(z, x) with ctx
         // [x, y, z] — bit 2 is z (source), bit 0 is x (target).
@@ -782,7 +752,9 @@ mod tests {
             &Formula::Child(z, x),
             &[VarKey::Fo(x), VarKey::Fo(y), VarKey::Fo(z)],
             n,
-        );
+            &budget,
+        )
+        .unwrap();
         let t = parse_tree("a(b(a) a)", &mut al).unwrap();
         let ctx = [VarKey::Fo(x), VarKey::Fo(y), VarKey::Fo(z)];
         for &n1 in &t.dfs() {
@@ -808,7 +780,7 @@ mod tests {
         let ctx = [VarKey::Fo(x), VarKey::Fo(y)];
         let mut al = alpha();
         let t = parse_tree(r#"a(b("s") a(b) "t")"#, &mut al).unwrap();
-        let a = compile(&phi, &ctx, al.len());
+        let a = compile(&phi, &ctx, al.len(), &BudgetHandle::unlimited()).unwrap();
         for &n1 in &t.dfs() {
             for &n2 in &t.dfs() {
                 let expect = t.doc_cmp(n1, n2) == std::cmp::Ordering::Less;

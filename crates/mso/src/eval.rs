@@ -73,18 +73,9 @@ impl Assignment {
 /// Evaluates `φ` on `h` under `asg`. All free variables must be bound.
 ///
 /// SO quantifiers enumerate all `2^|h|` subsets — use only on small trees.
-///
-/// # Panics
-///
-/// On an unbound free variable; use [`try_naive_eval`] for the recoverable
-/// form.
-pub fn naive_eval(h: &Hedge, phi: &Formula, asg: &Assignment) -> bool {
-    try_naive_eval(h, phi, asg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// As [`naive_eval`], but an unbound free variable is an [`EvalError`]
-/// naming the variable and the assignment's scope, not a panic.
-pub fn try_naive_eval(h: &Hedge, phi: &Formula, asg: &Assignment) -> Result<bool, EvalError> {
+/// An unbound free variable is an [`EvalError`] naming the variable and
+/// the assignment's scope.
+pub fn naive_eval(h: &Hedge, phi: &Formula, asg: &Assignment) -> Result<bool, EvalError> {
     let nodes = h.dfs();
     eval(h, &nodes, phi, asg)
 }
@@ -221,42 +212,18 @@ mod tests {
         let tx = t.children(kids[0])[0];
         let (x, y) = (Var(0), Var(1));
         let bind2 = |a, b| Assignment::new().bind(x, a).bind(y, b);
-        assert!(naive_eval(&t, &Formula::Child(x, y), &bind2(root, kids[0])));
-        assert!(!naive_eval(
-            &t,
-            &Formula::Child(x, y),
-            &bind2(kids[0], root)
-        ));
-        assert!(!naive_eval(&t, &Formula::Child(x, y), &bind2(root, tx)));
-        assert!(naive_eval(&t, &Formula::Descendant(x, y), &bind2(root, tx)));
-        assert!(naive_eval(
-            &t,
-            &Formula::NextSib(x, y),
-            &bind2(kids[0], kids[1])
-        ));
-        assert!(!naive_eval(
-            &t,
-            &Formula::NextSib(x, y),
-            &bind2(kids[0], kids[2])
-        ));
-        assert!(naive_eval(
-            &t,
-            &Formula::SibLess(x, y),
-            &bind2(kids[0], kids[2])
-        ));
-        assert!(!naive_eval(
-            &t,
-            &Formula::SibLess(x, y),
-            &bind2(kids[2], kids[0])
-        ));
+        assert!(naive_eval(&t, &Formula::Child(x, y), &bind2(root, kids[0])).unwrap());
+        assert!(!naive_eval(&t, &Formula::Child(x, y), &bind2(kids[0], root)).unwrap());
+        assert!(!naive_eval(&t, &Formula::Child(x, y), &bind2(root, tx)).unwrap());
+        assert!(naive_eval(&t, &Formula::Descendant(x, y), &bind2(root, tx)).unwrap());
+        assert!(naive_eval(&t, &Formula::NextSib(x, y), &bind2(kids[0], kids[1])).unwrap());
+        assert!(!naive_eval(&t, &Formula::NextSib(x, y), &bind2(kids[0], kids[2])).unwrap());
+        assert!(naive_eval(&t, &Formula::SibLess(x, y), &bind2(kids[0], kids[2])).unwrap());
+        assert!(!naive_eval(&t, &Formula::SibLess(x, y), &bind2(kids[2], kids[0])).unwrap());
         let one = Assignment::new().bind(x, root);
-        assert!(naive_eval(&t, &Formula::Root(x), &one));
-        assert!(naive_eval(&t, &Formula::Lab(al.sym("a"), x), &one));
-        assert!(naive_eval(
-            &t,
-            &Formula::IsText(x),
-            &Assignment::new().bind(x, tx)
-        ));
+        assert!(naive_eval(&t, &Formula::Root(x), &one).unwrap());
+        assert!(naive_eval(&t, &Formula::Lab(al.sym("a"), x), &one).unwrap());
+        assert!(naive_eval(&t, &Formula::IsText(x), &Assignment::new().bind(x, tx)).unwrap());
     }
 
     #[test]
@@ -264,7 +231,7 @@ mod tests {
         let (al, t) = sample();
         let (x, y) = (Var(0), Var(7));
         let asg = Assignment::new().bind(x, t.root());
-        let err = try_naive_eval(&t, &Formula::Child(x, y), &asg).unwrap_err();
+        let err = naive_eval(&t, &Formula::Child(x, y), &asg).unwrap_err();
         assert_eq!(
             err,
             EvalError::UnboundVar {
@@ -273,7 +240,7 @@ mod tests {
             }
         );
         let z = crate::formula::SetVar(3);
-        let err = try_naive_eval(&t, &Formula::In(x, z), &asg).unwrap_err();
+        let err = naive_eval(&t, &Formula::In(x, z), &asg).unwrap_err();
         assert!(matches!(err, EvalError::UnboundSetVar { var, .. } if var == z));
         let _ = al;
     }
@@ -285,14 +252,14 @@ mod tests {
         let x = g.var();
         // ∃x lab_c(x)
         let f = Formula::exists(x, Formula::Lab(al.sym("c"), x));
-        assert!(naive_eval(&t, &f, &Assignment::new()));
+        assert!(naive_eval(&t, &f, &Assignment::new()).unwrap());
         // ∀x (lab_b(x) → ∃y child(x,y)) — false: the second b is a leaf.
         let y = g.var();
         let f2 = Formula::forall(
             x,
             Formula::Lab(al.sym("b"), x).implies(Formula::exists(y, Formula::Child(x, y))),
         );
-        assert!(!naive_eval(&t, &f2, &Assignment::new()));
+        assert!(!naive_eval(&t, &f2, &Assignment::new()).unwrap());
     }
 
     #[test]
@@ -316,23 +283,16 @@ mod tests {
             Formula::forall_set(z, Formula::In(x, z).and(closed).implies(Formula::In(y, z)));
         let root = t.root();
         let tx = t.text_nodes()[0];
-        assert!(naive_eval(
-            &t,
-            &reach,
-            &Assignment::new().bind(x, root).bind(y, tx)
-        ));
-        assert!(!naive_eval(
-            &t,
-            &reach,
-            &Assignment::new().bind(x, tx).bind(y, root)
-        ));
+        assert!(naive_eval(&t, &reach, &Assignment::new().bind(x, root).bind(y, tx)).unwrap());
+        assert!(!naive_eval(&t, &reach, &Assignment::new().bind(x, tx).bind(y, root)).unwrap());
         // Agrees with the atomic descendant relation everywhere.
         for &a in &t.dfs() {
             for &b in &t.dfs() {
                 let asg = Assignment::new().bind(x, a).bind(y, b);
-                let via_sets = naive_eval(&t, &reach, &asg);
+                let via_sets = naive_eval(&t, &reach, &asg).unwrap();
                 let via_atomic =
-                    naive_eval(&t, &crate::formula::derived::descendant_or_self(x, y), &asg);
+                    naive_eval(&t, &crate::formula::derived::descendant_or_self(x, y), &asg)
+                        .unwrap();
                 assert_eq!(via_sets, via_atomic, "{a:?} {b:?}");
             }
         }
@@ -347,7 +307,7 @@ mod tests {
         for &a in &t.dfs() {
             for &b in &t.dfs() {
                 let expect = t.doc_cmp(a, b) == std::cmp::Ordering::Less;
-                let got = naive_eval(&t, &f, &Assignment::new().bind(x, a).bind(y, b));
+                let got = naive_eval(&t, &f, &Assignment::new().bind(x, a).bind(y, b)).unwrap();
                 assert_eq!(got, expect, "{a:?} vs {b:?}");
             }
         }
@@ -362,22 +322,14 @@ mod tests {
         let leaves: Vec<_> = t
             .dfs()
             .into_iter()
-            .filter(|&v| naive_eval(&t, &leaf, &Assignment::new().bind(x, v)))
+            .filter(|&v| naive_eval(&t, &leaf, &Assignment::new().bind(x, v)).unwrap())
             .collect();
         assert_eq!(leaves, t.leaves());
         let y = g.var();
         let fc = derived::first_child(x, y, &mut g);
         let root = t.root();
         let kids = t.children(root).to_vec();
-        assert!(naive_eval(
-            &t,
-            &fc,
-            &Assignment::new().bind(x, root).bind(y, kids[0])
-        ));
-        assert!(!naive_eval(
-            &t,
-            &fc,
-            &Assignment::new().bind(x, root).bind(y, kids[1])
-        ));
+        assert!(naive_eval(&t, &fc, &Assignment::new().bind(x, root).bind(y, kids[0])).unwrap());
+        assert!(!naive_eval(&t, &fc, &Assignment::new().bind(x, root).bind(y, kids[1])).unwrap());
     }
 }

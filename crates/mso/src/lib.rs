@@ -22,6 +22,11 @@
 //!   the best possible primitives; includes descendant and transitive
 //!   sibling order as primitives so Core XPath's `R*` needs no set
 //!   quantifier).
+//!
+//! Every operation that can blow up (products, subset constructions,
+//! saturations, inclusion and witness searches) takes a `&BudgetHandle`
+//! (from `tpx_trees::budget`) and returns a `Result`; it exists once, under
+//! its plain name. Callers without limits pass `&BudgetHandle::unlimited()`.
 
 pub mod atomic;
 pub mod compile;
@@ -30,8 +35,7 @@ pub mod formula;
 
 pub use compile::{
     compile, compile_cached, compile_sentence, compile_sentence_cached, lift, marked_encoding,
-    project_bit, strip_bits, try_compile, try_compile_cached, try_compile_sentence_cached,
-    try_project_bit, try_strip_bits, CompileCache, CompileError, MSym, VarKey,
+    project_bit, strip_bits, CompileCache, CompileError, MSym, VarKey,
 };
-pub use eval::{naive_eval, try_naive_eval, Assignment, EvalError};
+pub use eval::{naive_eval, Assignment, EvalError};
 pub use formula::{Formula, SetVar, Var, VarGen};

@@ -257,6 +257,7 @@ pub fn parse_dtd(src: &str, alpha: &mut Alphabet) -> Result<Dtd, DtdParseError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpx_trees::budget::BudgetHandle;
     use tpx_trees::term::parse_tree;
 
     const RECIPE_DTD: &str = r#"
@@ -285,7 +286,12 @@ mod tests {
         // node) where XML's `(#PCDATA)` means "any character data" (we
         // model it as `text*`), so the parsed language is a superset.
         let built = crate::samples::recipe_dtd(&alpha);
-        assert!(tpx_treeauto::subset_nta(&built.to_nta(), &parsed.to_nta()));
+        assert!(tpx_treeauto::subset_nta(
+            &built.to_nta(),
+            &parsed.to_nta(),
+            &BudgetHandle::unlimited()
+        )
+        .unwrap());
         // And the difference is exactly about text multiplicity: an empty
         // description is fine for (#PCDATA) but not for `text`.
         let mut a2 = alpha.clone();

@@ -385,6 +385,7 @@ impl DtdBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpx_trees::budget::BudgetHandle;
     use tpx_trees::term::parse_tree;
 
     fn alpha() -> Alphabet {
@@ -474,13 +475,14 @@ mod tests {
 
     #[test]
     fn nta_of_recipe_dtd_accepts_figure_1() {
+        let budget = BudgetHandle::unlimited();
         let mut al = tpx_trees::samples::recipe_alphabet();
         let d = samples::recipe_dtd(&al);
         let nta = d.to_nta();
         let t = tpx_trees::samples::recipe_tree(&mut al);
         assert!(nta.accepts(&t));
-        assert!(!nta.is_empty());
-        let w = nta.witness().unwrap();
+        assert!(!nta.is_empty(&budget).unwrap());
+        let w = nta.witness(&budget).unwrap().unwrap();
         assert!(d.validates(&w));
     }
 

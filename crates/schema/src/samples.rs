@@ -39,6 +39,7 @@ pub fn recipe_dtd(alpha: &Alphabet) -> Dtd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpx_trees::budget::BudgetHandle;
 
     #[test]
     fn recipe_dtd_is_reduced_and_nonempty() {
@@ -46,7 +47,7 @@ mod tests {
         let d = recipe_dtd(&al);
         assert!(d.is_reduced());
         let nta = d.to_nta();
-        assert!(!nta.is_empty());
+        assert!(!nta.is_empty(&BudgetHandle::unlimited()).unwrap());
     }
 
     #[test]

@@ -328,12 +328,11 @@ fn intern(
 
 /// Compiles the conformance artifact: the NTA of input trees over an
 /// `n_symbols`-wide alphabet whose image under `t` violates `target`.
-///
 /// `n_symbols` must cover every symbol that input trees may carry — pass
 /// `max` over the transducer, the target *and* the input schema(s) the
 /// artifact will be checked against (symbols unknown to `t` are transformed
 /// to `ε`, which still matters for the type of their ancestors).
-pub fn try_compile_conformance_artifacts(
+pub fn compile_conformance_artifacts(
     t: &Transducer,
     target: &Nta,
     n_symbols: usize,
@@ -446,21 +445,11 @@ pub fn try_compile_conformance_artifacts(
     Ok(ConformanceArtifacts { bad })
 }
 
-/// Unbudgeted [`try_compile_conformance_artifacts`].
-pub fn compile_conformance_artifacts(
-    t: &Transducer,
-    target: &Nta,
-    n_symbols: usize,
-) -> ConformanceArtifacts {
-    try_compile_conformance_artifacts(t, target, n_symbols, &BudgetHandle::unlimited())
-        .expect("unlimited budget")
-}
-
 /// The decision stage of the conformance analysis over a precompiled
 /// artifact: a schema tree whose image violates the target, or `None` when
 /// `T(L(schema)) ⊆ L(target)`. Runs the governed intersect → trim →
 /// witness pipeline under the caller's budget.
-pub fn try_conformance_witness_with(
+pub fn conformance_witness_with(
     art: &ConformanceArtifacts,
     schema: &Nta,
     budget: &BudgetHandle,
@@ -474,12 +463,12 @@ pub fn try_conformance_witness_with(
         assert!(
             schema.symbol_count() == art.bad.symbol_count(),
             "conformance artifact compiled for a narrower alphabet than the schema; \
-             pass the schema's symbol count to try_compile_conformance_artifacts"
+             pass the schema's symbol count to compile_conformance_artifacts"
         );
         schema
     };
-    let product = art.bad.try_intersect(schema, budget)?.try_trim(budget)?;
-    product.try_witness(budget)
+    let product = art.bad.intersect(schema, budget)?.trim(budget)?;
+    product.witness(budget)
 }
 
 /// Widens an NTA to a larger alphabet (new symbols get no content rules).
@@ -515,9 +504,8 @@ pub fn conformance_witness(t: &Transducer, schema: &Nta, target: &Nta) -> Option
         .max(target.symbol_count())
         .max(schema.symbol_count());
     let unlimited = BudgetHandle::unlimited();
-    let art =
-        try_compile_conformance_artifacts(t, target, n, &unlimited).expect("unlimited budget");
-    try_conformance_witness_with(&art, schema, &unlimited).expect("unlimited budget")
+    let art = compile_conformance_artifacts(t, target, n, &unlimited).expect("unlimited budget");
+    conformance_witness_with(&art, schema, &unlimited).expect("unlimited budget")
 }
 
 /// Whether `T(L(schema)) ⊆ L(target)`.
@@ -649,15 +637,15 @@ mod tests {
         let t = samples::example_4_2(&al);
         let n = t.symbol_count().max(nta.symbol_count());
         let gen = Budget::default().with_fuel(50_000_000).start();
-        let art = try_compile_conformance_artifacts(&t, &nta, n, &gen).unwrap();
-        try_conformance_witness_with(&art, &nta, &gen).unwrap();
+        let art = compile_conformance_artifacts(&t, &nta, n, &gen).unwrap();
+        conformance_witness_with(&art, &nta, &gen).unwrap();
         assert!(gen.fuel_spent() > 0);
         let z = Budget::default().with_fuel(0).start();
-        let err = try_compile_conformance_artifacts(&t, &nta, n, &z)
+        let err = compile_conformance_artifacts(&t, &nta, n, &z)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);
-        let err = try_conformance_witness_with(&art, &nta, &z)
+        let err = conformance_witness_with(&art, &nta, &z)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);

@@ -110,13 +110,10 @@ impl TransducerArtifacts {
 }
 
 /// Stage 1a: compiles the schema-side artifacts (Lemma 4.8(1)).
-pub fn compile_schema_artifacts(nta: &Nta) -> SchemaArtifacts {
-    try_compile_schema_artifacts(nta, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_schema_artifacts`]: charges one fuel unit per state
-/// and transition of the constructed path automaton.
-pub fn try_compile_schema_artifacts(
+///
+/// Charges one fuel unit per state and transition of the constructed path
+/// automaton.
+pub fn compile_schema_artifacts(
     nta: &Nta,
     budget: &BudgetHandle,
 ) -> Result<SchemaArtifacts, BudgetExceeded> {
@@ -134,13 +131,10 @@ pub fn try_compile_schema_artifacts(
 }
 
 /// Stage 1b (copy side): `A_T` and the two Lemma 4.5 condition automata.
-pub fn compile_copy_artifacts(t: &Transducer) -> CopyArtifacts {
-    try_compile_copy_artifacts(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_copy_artifacts`]: fuel is charged inside the pair and
-/// doubling constructions, one unit per product state row.
-pub fn try_compile_copy_artifacts(
+///
+/// Fuel is charged inside the pair and doubling constructions, one unit per
+/// product state row.
+pub fn compile_copy_artifacts(
     t: &Transducer,
     budget: &BudgetHandle,
 ) -> Result<CopyArtifacts, BudgetExceeded> {
@@ -156,31 +150,19 @@ pub fn try_compile_copy_artifacts(
 }
 
 /// Stage 1b (full): copy-side automata plus the Lemma 4.10 rearranging NTA.
-pub fn compile_transducer_artifacts(t: &Transducer) -> TransducerArtifacts {
-    try_compile_transducer_artifacts(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_transducer_artifacts`]: fuel probes run inside both
-/// the copy-side construction and the rearranging-NTA state loops.
-pub fn try_compile_transducer_artifacts(
-    t: &Transducer,
-    budget: &BudgetHandle,
-) -> Result<TransducerArtifacts, BudgetExceeded> {
-    try_compile_transducer_artifacts_traced(t, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_compile_transducer_artifacts`]: emits one sub-span per
-/// compiled half (`topdown/transducer/copying`,
-/// `topdown/transducer/rearranging`) carrying the fuel charged and the
-/// artifact size. With a disabled tracer this is exactly the untraced call.
-pub fn try_compile_transducer_artifacts_traced(
+///
+/// Fuel probes run inside both the copy-side construction and the
+/// rearranging-NTA state loops. Emits one sub-span per compiled half
+/// (`topdown/transducer/copying`, `topdown/transducer/rearranging`)
+/// carrying the fuel charged and the artifact size.
+pub fn compile_transducer_artifacts(
     t: &Transducer,
     budget: &BudgetHandle,
     tracer: &Tracer,
 ) -> Result<TransducerArtifacts, BudgetExceeded> {
     let span = tracer.span("topdown/transducer/copying");
     let fuel_before = budget.fuel_spent();
-    let copying = try_compile_copy_artifacts(t, budget)?;
+    let copying = compile_copy_artifacts(t, budget)?;
     span.exit_with(
         SpanFields::new()
             .fuel(budget.fuel_spent() - fuel_before)
@@ -188,7 +170,7 @@ pub fn try_compile_transducer_artifacts_traced(
     );
     let span = tracer.span("topdown/transducer/rearranging");
     let fuel_before = budget.fuel_spent();
-    let rearranging = try_rearranging_nta(t, budget)?;
+    let rearranging = rearranging_nta(t, budget)?;
     span.exit_with(
         SpanFields::new()
             .fuel(budget.fuel_spent() - fuel_before)
@@ -201,80 +183,47 @@ pub fn try_compile_transducer_artifacts_traced(
 }
 
 /// Stage 2 (copying): the Lemma 4.9 emptiness tests over precompiled
-/// artifacts — two linear products plus shortest-word searches.
+/// artifacts — two linear products plus shortest-word searches. Each
+/// product charges one fuel unit per state and per transition.
 pub fn copying_witness_with(
-    schema: &SchemaArtifacts,
-    copy: &CopyArtifacts,
-) -> Option<Vec<PathSym>> {
-    try_copying_witness_with(schema, copy, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`copying_witness_with`]: charges fuel proportional to each
-/// intersection product before building it.
-pub fn try_copying_witness_with(
     schema: &SchemaArtifacts,
     copy: &CopyArtifacts,
     budget: &BudgetHandle,
 ) -> Result<Option<Vec<PathSym>>, BudgetExceeded> {
     // Condition (1): two different path runs on the same text path.
-    budget.charge((schema.a_n.size() + copy.diverging.size()) as u64)?;
-    let m1 = schema.a_n.intersect(&copy.diverging);
+    let m1 = schema.a_n.intersect(&copy.diverging, budget)?;
     if let Some(w) = m1.shortest_word() {
         return Ok(Some(w));
     }
     // Condition (2): one path run through a doubling rule.
-    budget.charge((schema.a_n.size() + copy.doubling.size()) as u64)?;
-    let m2 = schema.a_n.intersect(&copy.doubling);
+    let m2 = schema.a_n.intersect(&copy.doubling, budget)?;
     Ok(m2.shortest_word())
 }
 
 /// Stage 2 (rearranging): the Lemma 4.10 emptiness test over the
 /// precompiled rearranging NTA.
-pub fn rearranging_witness_with(transducer: &TransducerArtifacts, nta: &Nta) -> Option<Tree> {
-    try_rearranging_witness_with(transducer, nta, &BudgetHandle::unlimited())
-        .expect("unlimited budget")
-}
-
-/// Budgeted [`rearranging_witness_with`]: the product, trim, and witness
-/// search all run under the same fuel/deadline budget.
-pub fn try_rearranging_witness_with(
+///
+/// The product, trim, and witness search all run under the same
+/// fuel/deadline budget.
+pub fn rearranging_witness_with(
     transducer: &TransducerArtifacts,
     nta: &Nta,
     budget: &BudgetHandle,
 ) -> Result<Option<Tree>, BudgetExceeded> {
     let product = transducer
         .rearranging
-        .try_intersect(nta, budget)?
-        .try_trim(budget)?;
-    product.try_witness(budget)
+        .intersect(nta, budget)?
+        .trim(budget)?;
+    product.witness(budget)
 }
 
 /// Stage 3: the Theorem 4.11 verdict over precompiled artifacts.
-pub fn is_text_preserving_with(
-    schema: &SchemaArtifacts,
-    transducer: &TransducerArtifacts,
-    nta: &Nta,
-) -> CheckReport {
-    try_is_text_preserving_with(schema, transducer, nta, &BudgetHandle::unlimited())
-        .expect("unlimited budget")
-}
-
-/// Budgeted [`is_text_preserving_with`]: both emptiness tests are run under
-/// the budget; an exhausted budget aborts with the fuel/deadline report.
-pub fn try_is_text_preserving_with(
-    schema: &SchemaArtifacts,
-    transducer: &TransducerArtifacts,
-    nta: &Nta,
-    budget: &BudgetHandle,
-) -> Result<CheckReport, BudgetExceeded> {
-    try_is_text_preserving_traced(schema, transducer, nta, budget, Tracer::disabled_ref())
-}
-
-/// Traced [`try_is_text_preserving_with`]: emits one sub-span per emptiness
+///
+/// Both emptiness tests are run under the budget; an exhausted budget
+/// aborts with the fuel/deadline report. Emits one sub-span per emptiness
 /// test (`topdown/decide/copying`, `topdown/decide/rearranging`) carrying
-/// the fuel each charged. With a disabled tracer this is exactly the
-/// untraced call.
-pub fn try_is_text_preserving_traced(
+/// the fuel each charged.
+pub fn is_text_preserving_with(
     schema: &SchemaArtifacts,
     transducer: &TransducerArtifacts,
     nta: &Nta,
@@ -283,14 +232,14 @@ pub fn try_is_text_preserving_traced(
 ) -> Result<CheckReport, BudgetExceeded> {
     let span = tracer.span("topdown/decide/copying");
     let fuel_before = budget.fuel_spent();
-    let copying = try_copying_witness_with(schema, &transducer.copying, budget)?;
+    let copying = copying_witness_with(schema, &transducer.copying, budget)?;
     span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
     if let Some(path) = copying {
         return Ok(CheckReport::Copying { path });
     }
     let span = tracer.span("topdown/decide/rearranging");
     let fuel_before = budget.fuel_spent();
-    let rearranging = try_rearranging_witness_with(transducer, nta, budget)?;
+    let rearranging = rearranging_witness_with(transducer, nta, budget)?;
     span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
     if let Some(witness) = rearranging {
         return Ok(CheckReport::Rearranging { witness });
@@ -306,24 +255,33 @@ pub fn try_is_text_preserving_traced(
 /// [`is_text_preserving_with`]); batch callers should compile the stages
 /// once and reuse them (see the `tpx-engine` crate).
 pub fn is_text_preserving(t: &Transducer, nta: &Nta) -> CheckReport {
-    let schema = compile_schema_artifacts(nta);
-    let transducer = compile_transducer_artifacts(t);
-    is_text_preserving_with(&schema, &transducer, nta)
+    let budget = BudgetHandle::unlimited();
+    let schema = compile_schema_artifacts(nta, &budget).expect("unlimited budget");
+    let transducer =
+        compile_transducer_artifacts(t, &budget, Tracer::disabled_ref()).expect("unlimited budget");
+    is_text_preserving_with(&schema, &transducer, nta, &budget, Tracer::disabled_ref())
+        .expect("unlimited budget")
 }
 
 /// Lemma 4.9: whether `t` is copying over `L(nta)`; returns a witness text
 /// path. PTIME. One-shot convenience over the copy side of the staged
 /// pipeline (the rearranging NTA is *not* built).
 pub fn copying_witness(t: &Transducer, nta: &Nta) -> Option<Vec<PathSym>> {
-    copying_witness_with(&compile_schema_artifacts(nta), &compile_copy_artifacts(t))
+    let budget = BudgetHandle::unlimited();
+    let schema = compile_schema_artifacts(nta, &budget).expect("unlimited budget");
+    let copy = compile_copy_artifacts(t, &budget).expect("unlimited budget");
+    copying_witness_with(&schema, &copy, &budget).expect("unlimited budget")
 }
 
 /// Lemma 4.10: whether `t` is rearranging over `L(nta)`; returns a witness
 /// tree. PTIME. One-shot convenience over the staged pipeline.
 pub fn rearranging_witness(t: &Transducer, nta: &Nta) -> Option<Tree> {
-    let m = rearranging_nta(t);
-    let product = m.intersect(nta).trim();
-    product.witness()
+    let budget = BudgetHandle::unlimited();
+    let product = rearranging_nta(t, &budget)
+        .and_then(|m| m.intersect(nta, &budget))
+        .and_then(|p| p.trim(&budget))
+        .expect("unlimited budget");
+    product.witness(&budget).expect("unlimited budget")
 }
 
 /// Simulates two copies of `a_t` in lock-step, accepting iff both accept
@@ -481,13 +439,10 @@ fn swap_pairs(t: &Transducer, q: TdState, a: Symbol) -> Vec<(TdState, TdState)> 
 
 /// The Lemma 4.10 automaton: an NTA accepting exactly the trees on which
 /// `t` rearranges (over all text trees; intersect with a schema to restrict).
-pub fn rearranging_nta(t: &Transducer) -> Nta {
-    try_rearranging_nta(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`rearranging_nta`]: one fuel unit per content-NFA row set on
-/// the automaton (the dominant cost — each row is a fresh horizontal NFA).
-pub fn try_rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
+///
+/// One fuel unit per content-NFA row set on the automaton (the dominant
+/// cost — each row is a fresh horizontal NFA).
+pub fn rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
     let sp = RearrangeSpace {
         n: t.state_count() as u32,
     };
@@ -602,7 +557,7 @@ pub fn try_rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta,
         m.set_text_ok(*st, ok);
     }
     m.add_root(sp.s0(t.initial()));
-    m.try_trim(budget)
+    m.trim(budget)
 }
 
 #[cfg(test)]

@@ -9,13 +9,13 @@
 //! automata of Lemma 4.8. Rather than determinizing and complementing
 //! `A_T` eagerly, the staged pipeline phrases the same question as an
 //! inclusion — is `L(A_N ∩ through-σ) ⊆ L(A_T)`? — and answers it with
-//! the word-level antichain procedure (`Nfa::try_inclusion_counterexample`,
+//! the word-level antichain procedure (`Nfa::inclusion_counterexample`,
 //! the string twin of DESIGN.md §13's tree layer), whose breadth-first
 //! counterexample is exactly a shortest deleted text path.
 //!
 //! The *text-retention* analysis of the engine layer
 //! (`TextRetentionDecider`) is a thin governed wrapper around
-//! [`try_deleted_text_under_with`]: the schema side reuses the cached
+//! [`deleted_text_under_with`]: the schema side reuses the cached
 //! [`SchemaArtifacts`] (which carry the hoisted path alphabet), the
 //! transducer side is just `A_T`.
 
@@ -45,13 +45,9 @@ impl RetentionArtifacts {
 }
 
 /// Compiles the transducer-side retention artifact.
-pub fn compile_retention_artifacts(t: &Transducer) -> RetentionArtifacts {
-    try_compile_retention_artifacts(t, &BudgetHandle::unlimited()).expect("unlimited budget")
-}
-
-/// Budgeted [`compile_retention_artifacts`]: charges one fuel unit per
-/// state and transition of `A_T`.
-pub fn try_compile_retention_artifacts(
+///
+/// Charges one fuel unit per state and transition of `A_T`.
+pub fn compile_retention_artifacts(
     t: &Transducer,
     budget: &BudgetHandle,
 ) -> Result<RetentionArtifacts, BudgetExceeded> {
@@ -66,7 +62,7 @@ pub fn try_compile_retention_artifacts(
 /// `labels` whose value `T` deletes, or `None` when `T` keeps every such
 /// value. The product and the antichain inclusion search both run under
 /// the caller's budget.
-pub fn try_deleted_text_under_with(
+pub fn deleted_text_under_with(
     schema: &SchemaArtifacts,
     retention: &RetentionArtifacts,
     labels: &[Symbol],
@@ -75,8 +71,8 @@ pub fn try_deleted_text_under_with(
     budget.charge(1)?;
     let through = through_labels(labels, &schema.path_alphabet);
     budget.charge(through.size() as u64)?;
-    let constrained = schema.a_n.try_intersect(&through, budget)?;
-    constrained.try_inclusion_counterexample(&retention.a_t, budget)
+    let constrained = schema.a_n.intersect(&through, budget)?;
+    constrained.inclusion_counterexample(&retention.a_t, budget)
 }
 
 /// If some schema tree has a text node below a node labelled with one of
@@ -88,9 +84,9 @@ pub fn try_deleted_text_under_with(
 pub fn deleted_text_under(t: &Transducer, nta: &Nta, labels: &[Symbol]) -> Option<Vec<PathSym>> {
     let unlimited = BudgetHandle::unlimited();
     let schema =
-        crate::decide::try_compile_schema_artifacts(nta, &unlimited).expect("unlimited budget");
-    let retention = compile_retention_artifacts(t);
-    try_deleted_text_under_with(&schema, &retention, labels, &unlimited).expect("unlimited budget")
+        crate::decide::compile_schema_artifacts(nta, &unlimited).expect("unlimited budget");
+    let retention = compile_retention_artifacts(t, &unlimited).expect("unlimited budget");
+    deleted_text_under_with(&schema, &retention, labels, &unlimited).expect("unlimited budget")
 }
 
 /// Whether `t` both is text-preserving over `L(nta)` and never deletes text
@@ -163,27 +159,24 @@ mod tests {
         let nta = recipe_dtd(&al).to_nta();
         let t = samples::example_4_2(&al);
         let unlimited = BudgetHandle::unlimited();
-        let schema = crate::decide::try_compile_schema_artifacts(&nta, &unlimited).unwrap();
-        let retention = compile_retention_artifacts(&t);
+        let schema = crate::decide::compile_schema_artifacts(&nta, &unlimited).unwrap();
+        let retention = compile_retention_artifacts(&t, &BudgetHandle::unlimited()).unwrap();
         for label in ["instructions", "ingredients", "comments"] {
             let labels = [al.sym(label)];
-            let staged =
-                try_deleted_text_under_with(&schema, &retention, &labels, &unlimited).unwrap();
+            let staged = deleted_text_under_with(&schema, &retention, &labels, &unlimited).unwrap();
             let eager = deleted_text_under(&t, &nta, &labels);
             assert_eq!(staged.is_some(), eager.is_some(), "{label}");
         }
         // Fuel is actually charged, and a zero budget fails fast.
         let gen = Budget::default().with_fuel(1_000_000).start();
-        try_deleted_text_under_with(&schema, &retention, &[al.sym("comments")], &gen).unwrap();
+        deleted_text_under_with(&schema, &retention, &[al.sym("comments")], &gen).unwrap();
         assert!(gen.fuel_spent() > 0);
         let z = Budget::default().with_fuel(0).start();
-        let err = try_deleted_text_under_with(&schema, &retention, &[al.sym("comments")], &z)
+        let err = deleted_text_under_with(&schema, &retention, &[al.sym("comments")], &z)
             .map(|_| ())
             .unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);
-        let err = try_compile_retention_artifacts(&t, &z)
-            .map(|_| ())
-            .unwrap_err();
+        let err = compile_retention_artifacts(&t, &z).map(|_| ()).unwrap_err();
         assert_eq!(err.reason, ExhaustReason::Fuel);
     }
 }

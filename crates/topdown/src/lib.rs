@@ -19,6 +19,13 @@
 //!   maximal sub-schema on which `T` is text-preserving (paper conclusion);
 //! * [`extensions`] — the conclusion's stronger tests ("never deletes text
 //!   below a node labelled σ").
+//!
+//! Every operation that can blow up (products, subset constructions,
+//! saturations, inclusion and witness searches) takes a `&BudgetHandle`
+//! (from `tpx_trees::budget`) and returns a `Result`, and the stage
+//! functions that emit sub-spans also take a `&Tracer`; each exists once,
+//! under its plain name. Callers without limits pass `&BudgetHandle::unlimited()`
+//! and `Tracer::disabled_ref()`.
 
 pub mod conformance;
 pub mod decide;
@@ -30,16 +37,12 @@ pub mod subschema;
 pub mod transducer;
 
 pub use conformance::{
-    compile_conformance_artifacts, conformance_witness, conforms_on, hedge_conforms,
-    output_conforms, try_compile_conformance_artifacts, try_conformance_witness_with,
-    ConformanceArtifacts,
+    compile_conformance_artifacts, conformance_witness, conformance_witness_with, conforms_on,
+    hedge_conforms, output_conforms, ConformanceArtifacts,
 };
 pub use decide::{
     compile_copy_artifacts, compile_schema_artifacts, compile_transducer_artifacts,
     copying_witness_with, is_text_preserving, is_text_preserving_with, rearranging_witness_with,
-    try_compile_copy_artifacts, try_compile_schema_artifacts, try_compile_transducer_artifacts,
-    try_compile_transducer_artifacts_traced, try_copying_witness_with,
-    try_is_text_preserving_traced, try_is_text_preserving_with, try_rearranging_witness_with,
     CheckReport, CopyArtifacts, SchemaArtifacts, TransducerArtifacts,
 };
 pub use paths::{path_automaton_nta, path_automaton_transducer, PathSym};

@@ -14,6 +14,7 @@
 use crate::transducer::{frontier_states, TdState, Transducer};
 use tpx_automata::{Nfa, StateId};
 use tpx_treeauto::Nta;
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::{NodeLabel, Symbol, Tree};
 
 /// A symbol of a text path: an element label or the terminal `text` marker.
@@ -57,7 +58,9 @@ pub fn text_paths(t: &Tree) -> Vec<Vec<PathSym>> {
 /// label `σ`, and is completable to a valid subtree"), plus a start state
 /// and an accepting sink reached on the final `text` symbol.
 pub fn path_automaton_nta(nta: &Nta) -> Nfa<PathSym> {
-    let inhabited = nta.inhabited_states();
+    let inhabited = nta
+        .inhabited_states(&BudgetHandle::unlimited())
+        .expect("unlimited budget");
     let n_syms = nta.symbol_count();
     let mut nfa: Nfa<PathSym> = Nfa::new();
     let start = nfa.add_state();

@@ -12,6 +12,7 @@ use crate::decide::rearranging_nta;
 use crate::transducer::{frontier_states, TdState, Transducer};
 use tpx_automata::Nfa;
 use tpx_treeauto::{difference_nta, Nta, State};
+use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 use tpx_trees::Symbol;
 
 /// Role layout for the copying NTA: `Any`, `S0(q)` (single shared run),
@@ -54,8 +55,8 @@ impl CopySpace {
 
 /// An NTA accepting exactly the trees on which `t` copies (Lemma 4.5,
 /// tree-level): two different path runs end at the same text node, or one
-/// path run passes a doubling rule.
-pub fn copying_nta(t: &Transducer) -> Nta {
+/// path run passes a doubling rule. The final trim charges `budget`.
+pub fn copying_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
     let sp = CopySpace {
         n: t.state_count() as u32,
     };
@@ -145,21 +146,30 @@ pub fn copying_nta(t: &Transducer) -> Nta {
         m.set_text_ok(*st, sp.text_ok(*st, t));
     }
     m.add_root(sp.s0(t.initial()));
-    m.trim()
+    m.trim(budget)
 }
 
 /// The regular language of counter-examples: all trees on which `t` is not
 /// text-preserving (copying ∪ rearranging). By Theorem 3.3 this is exact
 /// for the admissible transductions of this paper.
-pub fn counterexample_language(t: &Transducer) -> Nta {
-    copying_nta(t).union(&rearranging_nta(t)).trim()
+pub fn counterexample_language(
+    t: &Transducer,
+    budget: &BudgetHandle,
+) -> Result<Nta, BudgetExceeded> {
+    copying_nta(t, budget)?
+        .union(&rearranging_nta(t, budget)?)
+        .trim(budget)
 }
 
 /// The maximal sub-schema: the largest subset of `L(nta)` on which `t` is
 /// text-preserving, as an NTA (paper conclusion). Computed as
-/// `L(nta) ∖ counterexamples(t)`.
-pub fn maximal_subschema(t: &Transducer, nta: &Nta) -> Nta {
-    difference_nta(nta, &counterexample_language(t))
+/// `L(nta) ∖ counterexamples(t)`; every construction charges `budget`.
+pub fn maximal_subschema(
+    t: &Transducer,
+    nta: &Nta,
+    budget: &BudgetHandle,
+) -> Result<Nta, BudgetExceeded> {
+    difference_nta(nta, &counterexample_language(t, budget)?, budget)
 }
 
 #[cfg(test)]
@@ -174,6 +184,7 @@ mod tests {
 
     #[test]
     fn copying_nta_agrees_with_nfa_decider() {
+        let budget = BudgetHandle::unlimited();
         let al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
         for t in [
@@ -182,36 +193,57 @@ mod tests {
             samples::rearranging_example(&al),
         ] {
             let via_nfa = copying_witness(&t, &nta).is_some();
-            let via_nta = !copying_nta(&t).intersect(&nta).trim().is_empty();
+            let via_nta = !copying_nta(&t, &budget)
+                .unwrap()
+                .intersect(&nta, &budget)
+                .unwrap()
+                .trim(&budget)
+                .unwrap()
+                .is_empty(&budget)
+                .unwrap();
             assert_eq!(via_nfa, via_nta);
         }
     }
 
     #[test]
     fn copying_nta_witness_validates_semantically() {
+        let budget = BudgetHandle::unlimited();
         let al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
         let t = samples::copying_example(&al);
-        let w = copying_nta(&t).intersect(&nta).trim().witness().unwrap();
+        let w = copying_nta(&t, &budget)
+            .unwrap()
+            .intersect(&nta, &budget)
+            .unwrap()
+            .trim(&budget)
+            .unwrap()
+            .witness(&budget)
+            .unwrap()
+            .unwrap();
         assert!(nta.accepts(&w));
         assert!(semantic::copying_on(&t, &w));
     }
 
     #[test]
     fn maximal_subschema_of_preserving_transducer_is_whole_schema() {
+        let budget = BudgetHandle::unlimited();
         let mut al = recipe_alphabet();
         let nta = recipe_dtd(&al).to_nta();
         let t = samples::example_4_2(&al);
-        let max = maximal_subschema(&t, &nta);
+        let max = maximal_subschema(&t, &nta, &budget).unwrap();
         // Same language as the schema: test on samples.
         let fig1 = tpx_trees::samples::recipe_tree(&mut al);
         assert!(max.accepts(&fig1));
         // And the difference schema ∖ max is empty.
-        assert!(tpx_treeauto::difference_nta(&nta, &max).is_empty());
+        assert!(tpx_treeauto::difference_nta(&nta, &max, &budget)
+            .unwrap()
+            .is_empty(&budget)
+            .unwrap());
     }
 
     #[test]
     fn maximal_subschema_carves_out_copying_region() {
+        let budget = BudgetHandle::unlimited();
         // T copies under b, identity elsewhere; schema allows root a with
         // text and b(text) children. Max sub-schema: trees without text
         // under b... i.e. b-children must have no text? A b-node's text is
@@ -232,9 +264,9 @@ mod tests {
         let nta = nb.finish();
         // T is not text-preserving over the whole schema…
         assert!(!is_text_preserving(&t, &nta).is_preserving());
-        let max = maximal_subschema(&t, &nta);
+        let max = maximal_subschema(&t, &nta, &budget).unwrap();
         // …but is over the maximal sub-schema, which is non-trivial.
-        assert!(!max.is_empty());
+        assert!(!max.is_empty(&budget).unwrap());
         let mut al2 = al.clone();
         let inside = tpx_trees::term::parse_tree(r#"a("x" b)"#, &mut al2).unwrap();
         let outside = tpx_trees::term::parse_tree(r#"a("x" b("y"))"#, &mut al2).unwrap();
@@ -242,20 +274,21 @@ mod tests {
         assert!(max.accepts(&inside));
         assert!(!max.accepts(&outside));
         // Witnesses from the max sub-schema are preserved; semantic check.
-        let w = max.witness().unwrap();
+        let w = max.witness(&budget).unwrap().unwrap();
         assert!(semantic::text_preserving_on(
             &t,
             &Tree::from_hedge(tpx_trees::make_value_unique(w.as_hedge())).unwrap()
         ));
         // Maximality: schema trees outside max are counter-examples.
-        let outside_lang = tpx_treeauto::difference_nta(&nta, &max);
-        let cex = outside_lang.witness().unwrap();
+        let outside_lang = tpx_treeauto::difference_nta(&nta, &max, &budget).unwrap();
+        let cex = outside_lang.witness(&budget).unwrap().unwrap();
         let cex_unique = Tree::from_hedge(tpx_trees::make_value_unique(cex.as_hedge())).unwrap();
         assert!(!semantic::text_preserving_on(&t, &cex_unique));
     }
 
     #[test]
     fn copying_with_element_leaf_sibling_is_detected() {
+        let budget = BudgetHandle::unlimited();
         // Regression: the `Any` row used to demand ≥1 child, so an element
         // leaf in a don't-care position could not derive `Any` and the
         // copying NTA missed counterexamples containing one.
@@ -280,8 +313,8 @@ mod tests {
         assert!(nta.accepts(&cex));
         // T copies "y" under b; the element-leaf sibling c must not hide it.
         assert!(semantic::copying_on(&t, &cex));
-        assert!(copying_nta(&t).accepts(&cex));
-        let max = maximal_subschema(&t, &nta);
+        assert!(copying_nta(&t, &budget).unwrap().accepts(&cex));
+        let max = maximal_subschema(&t, &nta, &budget).unwrap();
         assert!(!max.accepts(&cex));
         // a(c) alone is preserved, so it stays inside the sub-schema.
         let inside = tpx_trees::term::parse_tree("a(c)", &mut al2).unwrap();
@@ -290,12 +323,16 @@ mod tests {
 
     #[test]
     fn counterexample_language_is_empty_for_preserving_everywhere() {
+        let budget = BudgetHandle::unlimited();
         // Identity transducer copies/rearranges nowhere.
         let al = Alphabet::from_labels(["a"]);
         let mut tb = crate::transducer::TransducerBuilder::new(&al, "q0");
         tb.rule("q0", "a", "a(q0)");
         tb.text_rule("q0");
         let t = tb.finish();
-        assert!(counterexample_language(&t).is_empty());
+        assert!(counterexample_language(&t, &budget)
+            .unwrap()
+            .is_empty(&budget)
+            .unwrap());
     }
 }

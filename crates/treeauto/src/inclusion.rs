@@ -26,7 +26,7 @@
 //!   and skip every dominated candidate.
 //!
 //! The same machinery yields an early-exit emptiness-of-product test
-//! ([`Nbta::try_intersect_witness`]): explore derivable `(a, b)` pairs
+//! ([`Nbta::intersect_witness`]): explore derivable `(a, b)` pairs
 //! with provenance and stop at the first final×final pair, without
 //! constructing the product automaton that [`Nbta::intersect`] returns.
 
@@ -35,6 +35,7 @@ use crate::nta::State;
 use crate::ranked::RankedTree;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use tpx_automata::antichain::{bit_has, bit_set, Frontier};
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
 
 /// How an explored pair was first derived, for witness decoding. Ids
@@ -44,31 +45,11 @@ enum Prov<L> {
     Node(L, usize, usize),
 }
 
-fn bit_has(bits: &[u64], q: State) -> bool {
-    bits[q.index() / 64] & (1 << (q.index() % 64)) != 0
-}
-
-fn bit_set(bits: &mut [u64], q: State) {
-    bits[q.index() / 64] |= 1 << (q.index() % 64);
-}
-
-/// `a ⊆ b` on bitsets of equal length.
-fn is_subset(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x & !y == 0)
-}
-
-/// An explored `(A-state, exact B-state-set)` pair.
-struct Pair<L> {
-    a: State,
-    set: Vec<u64>,
-    prov: Prov<L>,
-}
-
-fn decode<L: Clone>(pairs: &[Pair<L>], id: usize) -> RankedTree<L> {
-    match &pairs[id].prov {
+fn decode<L: Clone>(frontier: &Frontier<State, Prov<L>>, id: usize) -> RankedTree<L> {
+    match &frontier[id].prov {
         Prov::Leaf(l) => RankedTree::Leaf(l.clone()),
         Prov::Node(l, p1, p2) => {
-            RankedTree::node(l.clone(), decode(pairs, *p1), decode(pairs, *p2))
+            RankedTree::node(l.clone(), decode(frontier, *p1), decode(frontier, *p2))
         }
     }
 }
@@ -76,32 +57,22 @@ fn decode<L: Clone>(pairs: &[Pair<L>], id: usize) -> RankedTree<L> {
 impl<L: Clone + Eq + Hash> Nbta<L> {
     /// Whether `L(self) ⊆ L(other)` — decided lazily, without ever
     /// determinizing `other`. Alphabets must match as sets.
-    pub fn included_in(&self, other: &Nbta<L>) -> bool {
-        self.try_included_in(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::included_in`]: charges one fuel unit per explored
-    /// pair and per macro-successor join.
-    pub fn try_included_in(
+    ///
+    /// Charges one fuel unit per explored pair and per macro-successor join.
+    pub fn included_in(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
     ) -> Result<bool, BudgetExceeded> {
-        Ok(self.try_inclusion_counterexample(other, budget)?.is_none())
+        Ok(self.inclusion_counterexample(other, budget)?.is_none())
     }
 
     /// A tree in `L(self) \ L(other)`, or `None` when `L(self) ⊆ L(other)`.
-    pub fn inclusion_counterexample(&self, other: &Nbta<L>) -> Option<RankedTree<L>> {
-        self.try_inclusion_counterexample(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::inclusion_counterexample`]. Explores `(a, S)`
-    /// pairs bottom-up, prunes with a per-state antichain of ⊆-minimal
-    /// macro-states, and early-exits with a decoded witness at the first
-    /// rejecting pair.
-    pub fn try_inclusion_counterexample(
+    ///
+    /// Explores `(a, S)` pairs bottom-up, prunes with a per-state antichain of
+    /// ⊆-minimal macro-states, and early-exits with a decoded witness at the
+    /// first rejecting pair.
+    pub fn inclusion_counterexample(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
@@ -111,7 +82,7 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         let mut b_final_bits = vec![0u64; words];
         for q in other.states() {
             if other.is_final(q) {
-                bit_set(&mut b_final_bits, q);
+                bit_set(&mut b_final_bits, q.index());
             }
         }
         // `other`'s rules grouped by symbol, for the macro-successor step.
@@ -121,7 +92,7 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
             b_by_symbol.entry(l).or_default().push((*b1, *b2, outs));
         }
         // `self`'s rules indexed by (symbol, operand side), as in
-        // `try_intersect`.
+        // `intersect`.
         type Idx<'x, L> = HashMap<(&'x L, State), Vec<(State, &'x Vec<State>)>>;
         let mut idx_first: Idx<'_, L> = HashMap::new();
         let mut idx_second: Idx<'_, L> = HashMap::new();
@@ -130,67 +101,35 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
             idx_second.entry((l, *a2)).or_default().push((*a1, outs));
         }
 
-        // Arena of explored pairs. `antichain[a]` holds the ids whose
-        // macro-state is ⊆-minimal among those interned for `a`; dominated
-        // entries leave the antichain (so future domination checks stay
-        // cheap) but remain valid join partners in the arena.
-        let mut pairs: Vec<Pair<L>> = Vec::new();
-        let mut antichain: HashMap<State, Vec<usize>> = HashMap::new();
+        // Dominated pairs leave their antichain but stay in the arena, so
+        // `by_astate` (the join index over every interned pair) keeps them
+        // as valid join partners.
+        let mut frontier: Frontier<State, Prov<L>> = Frontier::default();
         let mut by_astate: HashMap<State, Vec<usize>> = HashMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
         let rejects = |set: &[u64]| set.iter().zip(&b_final_bits).all(|(s, f)| s & f == 0);
-        // Interns a candidate unless an explored macro-state for the same
-        // `A`-state already rejects at least as much (domination).
-        let intern = |a: State,
-                      set: Vec<u64>,
-                      prov: Prov<L>,
-                      pairs: &mut Vec<Pair<L>>,
-                      antichain: &mut HashMap<State, Vec<usize>>,
-                      by_astate: &mut HashMap<State, Vec<usize>>,
-                      queue: &mut VecDeque<usize>|
-         -> Option<usize> {
-            let chain = antichain.entry(a).or_default();
-            if chain.iter().any(|&i| is_subset(&pairs[i].set, &set)) {
-                return None;
-            }
-            chain.retain(|&i| !is_subset(&set, &pairs[i].set));
-            let id = pairs.len();
-            chain.push(id);
-            pairs.push(Pair { a, set, prov });
-            by_astate.entry(a).or_default().push(id);
-            queue.push_back(id);
-            Some(id)
-        };
 
         // Leaf rules seed the worklist; every interned pair is checked for
         // rejection immediately, so a leaf-level counterexample exits here.
         for l in self.leaf_alphabet().to_vec() {
             let mut seed = vec![0u64; words];
             for &b in other.leaf_states(&l) {
-                bit_set(&mut seed, b);
+                bit_set(&mut seed, b.index());
             }
             for &a in &self.leaf_states(&l).to_vec() {
                 budget.charge(1)?;
-                if let Some(id) = intern(
-                    a,
-                    seed.clone(),
-                    Prov::Leaf(l.clone()),
-                    &mut pairs,
-                    &mut antichain,
-                    &mut by_astate,
-                    &mut queue,
-                ) {
-                    if self.is_final(a) && rejects(&pairs[id].set) {
-                        return Ok(Some(decode(&pairs, id)));
+                if let Some(id) = frontier.intern(a, seed.clone(), Prov::Leaf(l.clone())) {
+                    by_astate.entry(a).or_default().push(id);
+                    if self.is_final(a) && rejects(&frontier[id].set) {
+                        return Ok(Some(decode(&frontier, id)));
                     }
                 }
             }
         }
 
         let symbols: Vec<&L> = self.internal_alphabet().iter().collect();
-        while let Some(p) = queue.pop_front() {
+        while let Some(p) = frontier.pop() {
             budget.charge(1)?;
-            let a = pairs[p].a;
+            let a = frontier[p].state;
             for &l in &symbols {
                 // The macro-successor depends only on (σ, S₁, S₂), not on
                 // the A-rule, so compute it once per partner per side.
@@ -199,9 +138,9 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
                     let mut out = vec![0u64; words];
                     if let Some(rules) = b_by_symbol.get(l) {
                         for &(b1, b2, outs) in rules {
-                            if bit_has(s1, b1) && bit_has(s2, b2) {
+                            if bit_has(s1, b1.index()) && bit_has(s2, b2.index()) {
                                 for &b in outs {
-                                    bit_set(&mut out, b);
+                                    bit_set(&mut out, b.index());
                                 }
                             }
                         }
@@ -210,7 +149,7 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
                 };
                 // Popped pair as LEFT and as RIGHT operand; partners must
                 // already be interned (the later-popped side completes
-                // every join, exactly as in `try_intersect`).
+                // every join, exactly as in `intersect`).
                 for left in [true, false] {
                     let idx = if left { &idx_first } else { &idx_second };
                     let Some(rules_a) = idx.get(&(l, a)) else {
@@ -224,9 +163,9 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
                                 .entry((p2, left))
                                 .or_insert_with(|| {
                                     if left {
-                                        step(&pairs[p].set, &pairs[p2].set)
+                                        step(&frontier[p].set, &frontier[p2].set)
                                     } else {
-                                        step(&pairs[p2].set, &pairs[p].set)
+                                        step(&frontier[p2].set, &frontier[p].set)
                                     }
                                 })
                                 .clone();
@@ -238,17 +177,10 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
                                 }
                             };
                             for &oa in outs {
-                                if let Some(id) = intern(
-                                    oa,
-                                    succ.clone(),
-                                    prov(l),
-                                    &mut pairs,
-                                    &mut antichain,
-                                    &mut by_astate,
-                                    &mut queue,
-                                ) {
-                                    if self.is_final(oa) && rejects(&pairs[id].set) {
-                                        return Ok(Some(decode(&pairs, id)));
+                                if let Some(id) = frontier.intern(oa, succ.clone(), prov(l)) {
+                                    by_astate.entry(oa).or_default().push(id);
+                                    if self.is_final(oa) && rejects(&frontier[id].set) {
+                                        return Ok(Some(decode(&frontier, id)));
                                     }
                                 }
                             }
@@ -264,14 +196,10 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     /// empty — found by exploring derivable `(a, b)` pairs with
     /// provenance and exiting at the first final×final pair, without
     /// building the product automaton.
-    pub fn intersect_witness(&self, other: &Nbta<L>) -> Option<RankedTree<L>> {
-        self.try_intersect_witness(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::intersect_witness`]: charges one fuel unit per
-    /// discovered pair and per rule join, like [`Nbta::try_intersect`].
-    pub fn try_intersect_witness(
+    ///
+    /// Charges one fuel unit per discovered pair and per rule join, like
+    /// [`Nbta::intersect`].
+    pub fn intersect_witness(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
@@ -437,54 +365,76 @@ mod tests {
 
     #[test]
     fn inclusion_verdicts() {
+        let budget = BudgetHandle::unlimited();
         let a = contains_a();
         let u = universal();
-        assert!(a.included_in(&u));
-        assert!(!u.included_in(&a));
-        assert!(a.included_in(&a));
-        assert!(u.included_in(&u));
+        assert!(a.included_in(&u, &budget).unwrap());
+        assert!(!u.included_in(&a, &budget).unwrap());
+        assert!(a.included_in(&a, &budget).unwrap());
+        assert!(u.included_in(&u, &budget).unwrap());
     }
 
     #[test]
     fn counterexample_is_genuine() {
+        let budget = BudgetHandle::unlimited();
         let a = contains_a();
         let u = universal();
-        let w = u.inclusion_counterexample(&a).expect("u ⊄ contains_a");
+        let w = u
+            .inclusion_counterexample(&a, &budget)
+            .unwrap()
+            .expect("u ⊄ contains_a");
         assert!(u.accepts(&w));
         assert!(!a.accepts(&w));
-        assert!(a.inclusion_counterexample(&u).is_none());
+        assert!(a.inclusion_counterexample(&u, &budget).unwrap().is_none());
     }
 
     #[test]
     fn inclusion_agrees_with_eager_complement_route() {
+        let budget = BudgetHandle::unlimited();
         let a = contains_a();
         let u = universal();
         for (x, y) in [(&a, &u), (&u, &a), (&a, &a), (&u, &u)] {
             let eager = x
-                .intersect(&y.determinize().complement().to_nbta().trim())
-                .is_empty();
-            assert_eq!(x.included_in(y), eager);
+                .intersect(
+                    &y.determinize(&budget)
+                        .unwrap()
+                        .complement()
+                        .to_nbta()
+                        .trim(&budget)
+                        .unwrap(),
+                    &budget,
+                )
+                .unwrap()
+                .is_empty(&budget)
+                .unwrap();
+            assert_eq!(x.included_in(y, &budget).unwrap(), eager);
         }
     }
 
     #[test]
     fn inclusion_against_empty_language() {
+        let budget = BudgetHandle::unlimited();
         let mut empty = Nbta::new(vec!['#'], vec!['a', 'b']);
         let q = empty.add_state();
         empty.add_leaf_rule('#', q);
         // No final state: the language is empty.
-        assert!(empty.included_in(&contains_a()));
+        assert!(empty.included_in(&contains_a(), &budget).unwrap());
         let w = contains_a()
-            .inclusion_counterexample(&empty)
+            .inclusion_counterexample(&empty, &budget)
+            .unwrap()
             .expect("nonempty ⊄ ∅");
         assert!(contains_a().accepts(&w));
     }
 
     #[test]
     fn intersect_witness_agrees_with_product() {
+        let budget = BudgetHandle::unlimited();
         let a = contains_a();
         let u = universal();
-        let w = a.intersect_witness(&u).expect("intersection nonempty");
+        let w = a
+            .intersect_witness(&u, &budget)
+            .unwrap()
+            .expect("intersection nonempty");
         assert!(a.accepts(&w) && u.accepts(&w));
         // Root-is-b automaton: intersection with contains_a is nonempty.
         let mut rb = Nbta::new(vec!['#'], vec!['a', 'b']);
@@ -496,16 +446,32 @@ mod tests {
             rb.add_rule(l, any, any, any);
         }
         rb.add_rule('b', any, any, rootb);
-        let w = a.intersect_witness(&rb).expect("nonempty");
+        let w = a
+            .intersect_witness(&rb, &budget)
+            .unwrap()
+            .expect("nonempty");
         assert!(a.accepts(&w) && rb.accepts(&w));
         assert_eq!(
-            a.intersect_witness(&rb).is_some(),
-            !a.intersect(&rb).is_empty()
+            a.intersect_witness(&rb, &budget).unwrap().is_some(),
+            !a.intersect(&rb, &budget)
+                .unwrap()
+                .is_empty(&budget)
+                .unwrap()
         );
         // Empty intersection: contains_a ∩ complement(contains_a).
-        let not_a = a.determinize().complement().to_nbta().trim();
-        assert!(a.intersect_witness(&not_a).is_none());
-        assert!(a.intersect(&not_a).is_empty());
+        let not_a = a
+            .determinize(&budget)
+            .unwrap()
+            .complement()
+            .to_nbta()
+            .trim(&budget)
+            .unwrap();
+        assert!(a.intersect_witness(&not_a, &budget).unwrap().is_none());
+        assert!(a
+            .intersect(&not_a, &budget)
+            .unwrap()
+            .is_empty(&budget)
+            .unwrap());
     }
 
     #[test]
@@ -514,17 +480,15 @@ mod tests {
         let a = contains_a();
         let u = universal();
         let gen = Budget::default().with_fuel(1_000_000).start();
-        assert!(a.try_included_in(&u, &gen).unwrap());
-        assert!(!u.try_included_in(&a, &gen).unwrap());
-        assert!(a.try_intersect_witness(&u, &gen).unwrap().is_some());
+        assert!(a.included_in(&u, &gen).unwrap());
+        assert!(!u.included_in(&a, &gen).unwrap());
+        assert!(a.intersect_witness(&u, &gen).unwrap().is_some());
         assert!(gen.fuel_spent() > 0, "the lazy ops must charge fuel");
         let z = Budget::default().with_fuel(0).start();
         for err in [
-            a.try_included_in(&u, &z).map(|_| ()).unwrap_err(),
-            a.try_inclusion_counterexample(&u, &z)
-                .map(|_| ())
-                .unwrap_err(),
-            a.try_intersect_witness(&u, &z).map(|_| ()).unwrap_err(),
+            a.included_in(&u, &z).map(|_| ()).unwrap_err(),
+            a.inclusion_counterexample(&u, &z).map(|_| ()).unwrap_err(),
+            a.intersect_witness(&u, &z).map(|_| ()).unwrap_err(),
         ] {
             assert_eq!(err.reason, ExhaustReason::Fuel);
         }

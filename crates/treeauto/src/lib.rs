@@ -20,6 +20,11 @@
 //!   `Nbta::intersect_witness` that never materialize the determinized
 //!   complement (DESIGN.md §13).
 //! * [`ranked`] — a small ranked-tree value type for NBTA witnesses.
+//!
+//! Every operation that can blow up (products, subset constructions,
+//! saturations, inclusion and witness searches) takes a `&BudgetHandle`
+//! (from `tpx_trees::budget`) and returns a `Result`; it exists once, under
+//! its plain name. Callers without limits pass `&BudgetHandle::unlimited()`.
 
 pub mod convert;
 pub mod inclusion;
@@ -28,8 +33,7 @@ pub mod nta;
 pub mod ranked;
 
 pub use convert::{
-    complement_nta, difference_nta, language_equal, nbta_to_nta, nta_to_nbta, subset_nta,
-    try_complement_nta, try_difference_nta, try_language_equal, try_subset_nta, EncSym,
+    complement_nta, difference_nta, language_equal, nbta_to_nta, nta_to_nbta, subset_nta, EncSym,
 };
 pub use nbta::{Dbta, Nbta};
 pub use nta::{Nta, NtaBuilder, Run, State};

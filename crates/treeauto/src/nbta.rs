@@ -145,14 +145,9 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     }
 
     /// States derivable by *some* tree.
-    pub fn derivable_states(&self) -> Vec<bool> {
-        self.try_derivable_states(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::derivable_states`]: charges one fuel unit per rule
-    /// scanned per saturation round.
-    pub fn try_derivable_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
+    ///
+    /// Charges one fuel unit per rule scanned per saturation round.
+    pub fn derivable_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
         let mut derivable = vec![false; self.n_states];
         let mut queue: VecDeque<State> = VecDeque::new();
         for states in self.leaf_rules.values() {
@@ -184,16 +179,8 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     }
 
     /// Whether `L(B) = ∅`.
-    pub fn is_empty(&self) -> bool {
-        let derivable = self.derivable_states();
-        !self
-            .states()
-            .any(|q| self.is_final(q) && derivable[q.index()])
-    }
-
-    /// Budgeted [`Self::is_empty`].
-    pub fn try_is_empty(&self, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
-        let derivable = self.try_derivable_states(budget)?;
+    pub fn is_empty(&self, budget: &BudgetHandle) -> Result<bool, BudgetExceeded> {
+        let derivable = self.derivable_states(budget)?;
         Ok(!self
             .states()
             .any(|q| self.is_final(q) && derivable[q.index()]))
@@ -201,17 +188,9 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
 
     /// A witness tree, if the language is non-empty (small, not necessarily
     /// minimal).
-    pub fn witness(&self) -> Option<RankedTree<L>> {
-        self.try_witness(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::witness`]: charges one fuel unit per rule scanned
-    /// per saturation round.
-    pub fn try_witness(
-        &self,
-        budget: &BudgetHandle,
-    ) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
+    ///
+    /// Charges one fuel unit per rule scanned per saturation round.
+    pub fn witness(&self, budget: &BudgetHandle) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
         #[derive(Clone)]
         enum Recipe<L> {
             Leaf(L),
@@ -265,14 +244,10 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     /// Built on the fly over *derivable* state pairs only, so the cost is
     /// bounded by the reachable product, not `|Q₁|·|Q₂|` — essential for
     /// the long intersection chains in the Section 5.3 deciders.
-    pub fn intersect(&self, other: &Nbta<L>) -> Nbta<L> {
-        self.try_intersect(other, &BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::intersect`]: charges one fuel unit per discovered
-    /// product state and per product rule constructed.
-    pub fn try_intersect(
+    ///
+    /// Charges one fuel unit per discovered product state and per product rule
+    /// constructed.
+    pub fn intersect(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
@@ -477,15 +452,11 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     /// Removes states that are not derivable or cannot contribute to an
     /// accepting run. Language-preserving; crucial for keeping the MSO
     /// pipeline small.
-    pub fn trim(&self) -> Nbta<L> {
-        self.try_trim(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::trim`]: charges one fuel unit per rule scanned per
-    /// saturation round plus one per surviving rule rebuilt.
-    pub fn try_trim(&self, budget: &BudgetHandle) -> Result<Nbta<L>, BudgetExceeded> {
-        let derivable = self.try_derivable_states(budget)?;
+    ///
+    /// Charges one fuel unit per rule scanned per saturation round plus one per
+    /// surviving rule rebuilt.
+    pub fn trim(&self, budget: &BudgetHandle) -> Result<Nbta<L>, BudgetExceeded> {
+        let derivable = self.derivable_states(budget)?;
         // Co-derivability: q useful if final, or appears as operand of a rule
         // with useful output and derivable sibling.
         let mut useful: Vec<bool> = self
@@ -553,15 +524,11 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
 
     /// Subset construction: a complete deterministic automaton over the same
     /// alphabets.
-    pub fn determinize(&self) -> Dbta<L> {
-        self.try_determinize(&BudgetHandle::unlimited())
-            .expect("unlimited budget")
-    }
-
-    /// Budgeted [`Self::determinize`]: charges one fuel unit per transition
-    /// of the subset automaton — the construction is the workspace's one
-    /// truly exponential site, so this is where a budget matters most.
-    pub fn try_determinize(&self, budget: &BudgetHandle) -> Result<Dbta<L>, BudgetExceeded> {
+    ///
+    /// Charges one fuel unit per transition of the subset automaton — the
+    /// construction is the workspace's one truly exponential site, so this is
+    /// where a budget matters most.
+    pub fn determinize(&self, budget: &BudgetHandle) -> Result<Dbta<L>, BudgetExceeded> {
         // Group rules by symbol for the inner loop, and use bitsets for
         // class membership.
         let words = self.n_states.div_ceil(64).max(1);
@@ -906,9 +873,10 @@ mod tests {
 
     #[test]
     fn emptiness_and_witness() {
+        let budget = BudgetHandle::unlimited();
         let m = contains_a();
-        assert!(!m.is_empty());
-        let w = m.witness().unwrap();
+        assert!(!m.is_empty(&budget).unwrap());
+        let w = m.witness(&budget).unwrap().unwrap();
         assert!(m.accepts(&w));
 
         let mut empty = Nbta::new(vec!['#'], vec!['a']);
@@ -917,14 +885,14 @@ mod tests {
         empty.set_final(f, true);
         empty.add_leaf_rule('#', q);
         // No rule ever produces f.
-        assert!(empty.is_empty());
-        assert!(empty.witness().is_none());
+        assert!(empty.is_empty(&budget).unwrap());
+        assert!(empty.witness(&budget).unwrap().is_none());
     }
 
     #[test]
     fn determinize_complement() {
         let m = contains_a();
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         let c = d.complement();
         let samples = [
             leaf(),
@@ -956,7 +924,7 @@ mod tests {
             m2.add_rule(l, any, any, any);
         }
         m2.add_rule('b', any, any, rootb);
-        let i = m1.intersect(&m2);
+        let i = m1.intersect(&m2, &BudgetHandle::unlimited()).unwrap();
         let u = m1.union(&m2);
         let t_yes = node('b', node('a', leaf(), leaf()), leaf());
         let t_only1 = node('a', leaf(), leaf());
@@ -976,7 +944,7 @@ mod tests {
         // Add junk states.
         let dead = m.add_state();
         m.add_rule('a', dead, dead, dead);
-        let trimmed = m.trim();
+        let trimmed = m.trim(&BudgetHandle::unlimited()).unwrap();
         assert!(trimmed.state_count() <= 2);
         for t in [
             leaf(),
@@ -1009,7 +977,7 @@ mod tests {
         let m = contains_a();
         // Pad with redundant structure: union with itself.
         let padded = m.union(&contains_a());
-        let d = padded.determinize();
+        let d = padded.determinize(&BudgetHandle::unlimited()).unwrap();
         let mini = d.minimize();
         assert!(mini.state_count() <= d.state_count());
         for t in [
@@ -1026,7 +994,9 @@ mod tests {
 
     #[test]
     fn minimize_of_complement_is_minimal_too() {
-        let d = contains_a().determinize();
+        let d = contains_a()
+            .determinize(&BudgetHandle::unlimited())
+            .unwrap();
         let c = d.complement().minimize();
         assert!(c.accepts(&leaf()));
         assert!(!c.accepts(&node('a', leaf(), leaf())));
@@ -1039,21 +1009,34 @@ mod tests {
         let m = contains_a();
         // Generous budget: identical results.
         let b = Budget::default().with_fuel(1_000_000).start();
-        let i = m.try_intersect(&contains_a(), &b).unwrap();
-        assert_eq!(i.state_count(), m.intersect(&contains_a()).state_count());
-        let d = m.try_determinize(&b).unwrap();
-        assert_eq!(d.state_count(), m.determinize().state_count());
-        assert_eq!(m.try_is_empty(&b).unwrap(), m.is_empty());
-        assert!(m.try_witness(&b).unwrap().is_some());
+        let i = m.intersect(&contains_a(), &b).unwrap();
+        assert_eq!(
+            i.state_count(),
+            m.intersect(&contains_a(), &BudgetHandle::unlimited())
+                .unwrap()
+                .state_count()
+        );
+        let d = m.determinize(&b).unwrap();
+        assert_eq!(
+            d.state_count(),
+            m.determinize(&BudgetHandle::unlimited())
+                .unwrap()
+                .state_count()
+        );
+        assert_eq!(
+            m.is_empty(&b).unwrap(),
+            m.is_empty(&BudgetHandle::unlimited()).unwrap()
+        );
+        assert!(m.witness(&b).unwrap().is_some());
         assert!(b.fuel_spent() > 0, "the ops must charge fuel");
         // Zero fuel: every op fails fast with a Fuel exhaustion.
         let z = Budget::default().with_fuel(0).start();
         for err in [
-            m.try_intersect(&contains_a(), &z).unwrap_err(),
-            m.try_determinize(&z).map(|_| ()).unwrap_err(),
-            m.try_trim(&z).map(|_| ()).unwrap_err(),
-            m.try_is_empty(&z).map(|_| ()).unwrap_err(),
-            m.try_witness(&z).map(|_| ()).unwrap_err(),
+            m.intersect(&contains_a(), &z).unwrap_err(),
+            m.determinize(&z).map(|_| ()).unwrap_err(),
+            m.trim(&z).map(|_| ()).unwrap_err(),
+            m.is_empty(&z).map(|_| ()).unwrap_err(),
+            m.witness(&z).map(|_| ()).unwrap_err(),
         ] {
             assert_eq!(err.reason, ExhaustReason::Fuel);
         }
@@ -1064,7 +1047,7 @@ mod tests {
         // Automaton with NO rules still evaluates every tree (to the empty
         // class) after determinization.
         let m: Nbta<char> = Nbta::new(vec!['#'], vec!['a']);
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         assert!(!d.accepts(&leaf()));
         assert!(!d.accepts(&node('a', leaf(), leaf())));
         // And its complement accepts everything.

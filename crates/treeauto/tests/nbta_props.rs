@@ -9,6 +9,7 @@
 //! pairs, and failures print the offending seed for replay.
 
 use tpx_treeauto::{Nbta, RankedTree, State};
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::rng::SplitMix64;
 
 type T = RankedTree<char>;
@@ -66,7 +67,7 @@ fn pairs(cases: usize) -> impl Iterator<Item = (u64, Nbta<char>, T)> {
 #[test]
 fn determinize_and_complement() {
     for (seed, m, t) in pairs(200) {
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         assert_eq!(d.accepts(&t), m.accepts(&t), "seed {seed}");
         assert_eq!(d.complement().accepts(&t), !m.accepts(&t), "seed {seed}");
         // Round trip through NBTA.
@@ -78,7 +79,7 @@ fn determinize_and_complement() {
 #[test]
 fn minimize_preserves() {
     for (seed, m, t) in pairs(200) {
-        let d = m.determinize();
+        let d = m.determinize(&BudgetHandle::unlimited()).unwrap();
         let mini = d.minimize();
         assert!(mini.state_count() <= d.state_count(), "seed {seed}");
         assert_eq!(mini.accepts(&t), d.accepts(&t), "seed {seed}");
@@ -88,10 +89,11 @@ fn minimize_preserves() {
 /// Products and unions have Boolean semantics; trim is invisible.
 #[test]
 fn boolean_ops() {
+    let budget = BudgetHandle::unlimited();
     for (seed, m1, t) in pairs(200) {
         let mut rng = SplitMix64::new(seed.wrapping_add(0xB0B0));
         let m2 = random_nbta(&mut rng);
-        let i = m1.intersect(&m2);
+        let i = m1.intersect(&m2, &budget).unwrap();
         assert_eq!(
             i.accepts(&t),
             m1.accepts(&t) && m2.accepts(&t),
@@ -103,20 +105,25 @@ fn boolean_ops() {
             m1.accepts(&t) || m2.accepts(&t),
             "seed {seed}"
         );
-        assert_eq!(m1.trim().accepts(&t), m1.accepts(&t), "seed {seed}");
+        assert_eq!(
+            m1.trim(&budget).unwrap().accepts(&t),
+            m1.accepts(&t),
+            "seed {seed}"
+        );
     }
 }
 
 /// Emptiness agrees with witness extraction, and witnesses are members.
 #[test]
 fn emptiness_and_witness() {
+    let budget = BudgetHandle::unlimited();
     for (seed, m, _) in pairs(300) {
-        match m.witness() {
+        match m.witness(&budget).unwrap() {
             Some(w) => {
-                assert!(!m.is_empty(), "seed {seed}");
+                assert!(!m.is_empty(&budget).unwrap(), "seed {seed}");
                 assert!(m.accepts(&w), "seed {seed}");
             }
-            None => assert!(m.is_empty(), "seed {seed}"),
+            None => assert!(m.is_empty(&budget).unwrap(), "seed {seed}"),
         }
     }
 }
@@ -124,15 +131,21 @@ fn emptiness_and_witness() {
 /// De Morgan: ¬(A ∪ B) = ¬A ∩ ¬B on random inputs.
 #[test]
 fn de_morgan() {
+    let budget = BudgetHandle::unlimited();
     for (seed, m1, t) in pairs(150) {
         let mut rng = SplitMix64::new(seed.wrapping_add(0xDEAD));
         let m2 = random_nbta(&mut rng);
-        let lhs = m1.union(&m2).determinize().complement();
+        let lhs = m1.union(&m2).determinize(&budget).unwrap().complement();
         let rhs = m1
-            .determinize()
+            .determinize(&budget)
+            .unwrap()
             .complement()
             .to_nbta()
-            .intersect(&m2.determinize().complement().to_nbta());
+            .intersect(
+                &m2.determinize(&budget).unwrap().complement().to_nbta(),
+                &budget,
+            )
+            .unwrap();
         assert_eq!(lhs.accepts(&t), rhs.accepts(&t), "seed {seed}");
     }
 }

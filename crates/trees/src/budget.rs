@@ -23,6 +23,10 @@
 //! * the deadline is polled every [`DEADLINE_POLL_MASK`]+1 charges so the
 //!   common case stays one relaxed atomic add.
 //!
+//! Every fallible operation of the automata and decider crates takes a
+//! `&BudgetHandle` and has no unbudgeted twin; a caller without limits
+//! passes `&BudgetHandle::unlimited()`, which counts fuel but never fails.
+//!
 //! This module lives in `tpx-trees` because every crate of the workspace
 //! depends on it; the engine re-exports it as `tpx_engine::budget`.
 

@@ -3,6 +3,7 @@
 
 use tpx_schema::{Dtd, DtdBuilder};
 use tpx_treeauto::Nta;
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::rng::SplitMix64;
 use tpx_trees::Alphabet;
 
@@ -90,7 +91,11 @@ pub fn random_dtd(n_labels: usize, seed: u64) -> RandomSchema {
     let mut rng = SplitMix64::new(seed);
     for _ in 0..16 {
         let schema = roll_dtd(&alpha, n_labels, &mut rng);
-        if !schema.nta().is_empty() {
+        if !schema
+            .nta()
+            .is_empty(&BudgetHandle::unlimited())
+            .expect("unlimited budget")
+        {
             return schema;
         }
     }
@@ -143,9 +148,10 @@ mod tests {
 
     #[test]
     fn chain_schema_has_single_witness_shape() {
+        let budget = BudgetHandle::unlimited();
         let (_, nta) = chain_schema(5);
-        assert!(!nta.is_empty());
-        let w = nta.witness().unwrap();
+        assert!(!nta.is_empty(&budget).unwrap());
+        let w = nta.witness(&budget).unwrap().unwrap();
         assert_eq!(w.node_count(), 6); // 5 elements + text leaf
     }
 
@@ -178,7 +184,10 @@ mod tests {
             assert_eq!(s1.decls, s2.decls, "seed {seed}");
             assert_eq!(s1.starts, s2.starts, "seed {seed}");
             let nta = s1.nta();
-            assert!(!nta.is_empty(), "seed {seed}: empty language");
+            assert!(
+                !nta.is_empty(&BudgetHandle::unlimited()).unwrap(),
+                "seed {seed}: empty language"
+            );
             let t = random_schema_tree(&nta, 15, seed).unwrap();
             assert!(nta.accepts(&t), "seed {seed}");
             assert!(s1.dtd().validates(&t), "seed {seed}");

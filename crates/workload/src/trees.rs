@@ -1,6 +1,7 @@
 //! Random text-tree generation: free-form and schema-guided.
 
 use tpx_treeauto::{Nta, State};
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::rng::SplitMix64;
 use tpx_trees::{Hedge, HedgeBuilder, Symbol, Tree};
 
@@ -72,7 +73,9 @@ fn gen_node(
 /// resort, falls back to the NTA's deterministic witness — so the result is
 /// deterministic in `seed` and `None` is reserved for empty languages.
 pub fn random_schema_tree(nta: &Nta, budget: usize, seed: u64) -> Option<Tree> {
-    let inhabited = nta.inhabited_states();
+    let inhabited = nta
+        .inhabited_states(&BudgetHandle::unlimited())
+        .expect("unlimited budget");
     let costs = completion_costs(nta);
     let roots: Vec<State> = nta
         .roots()
@@ -110,7 +113,8 @@ pub fn random_schema_tree(nta: &Nta, budget: usize, seed: u64) -> Option<Tree> {
     }
     // Every randomized attempt dead-ended; the language is still non-empty
     // (an inhabited root exists), so emit the deterministic witness.
-    nta.witness()
+    nta.witness(&BudgetHandle::unlimited())
+        .expect("unlimited budget")
 }
 
 /// Per-state completion cost: the minimum number of nodes in any tree
@@ -120,7 +124,10 @@ pub fn random_schema_tree(nta: &Nta, budget: usize, seed: u64) -> Option<Tree> {
 /// recursive one and loop forever (e.g. `δ(q, a) = (qb qb) | q`, where the
 /// length-1 word `q` never terminates).
 fn completion_costs(nta: &Nta) -> Vec<Option<u64>> {
-    let n = nta.inhabited_states().len();
+    let n = nta
+        .inhabited_states(&BudgetHandle::unlimited())
+        .expect("unlimited budget")
+        .len();
     let mut costs: Vec<Option<u64>> = (0..n)
         .map(|q| nta.text_ok(State(q as u32)).then_some(1))
         .collect();

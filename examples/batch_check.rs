@@ -12,10 +12,11 @@
 
 use std::time::Instant;
 
-use textpres::engine::{Decider, Engine, Outcome, Task, TopdownDecider};
+use textpres::engine::{CheckOptions, Decider, Engine, Outcome, Task, TopdownDecider};
 use tpx_workload::{chain_schema, comb_schema, recipe_schema, transducers};
 
 fn main() {
+    let unlimited = CheckOptions::unlimited();
     // Three schema families from the workload generators...
     let (chain_alpha, chain) = chain_schema(4);
     let (comb_alpha, comb) = comb_schema(4);
@@ -49,7 +50,11 @@ fn main() {
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
     let engine = Engine::with_jobs(jobs);
     let start = Instant::now();
-    let verdicts = engine.check_many(&tasks);
+    let verdicts = engine
+        .check_many_governed(&tasks, &unlimited)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
     let wall = start.elapsed();
 
     println!(
@@ -88,7 +93,11 @@ fn main() {
     assert_eq!(stats.misses as usize, stats.entries);
 
     // The parallel batch agrees with a fresh sequential engine.
-    let sequential = Engine::new().check_many(&tasks);
+    let sequential = Engine::new()
+        .check_many_governed(&tasks, &unlimited)
+        .into_iter()
+        .map(Result::unwrap)
+        .collect::<Vec<_>>();
     for ((label, par), seq) in labels.iter().zip(&verdicts).zip(&sequential) {
         assert_eq!(par.is_preserving(), seq.is_preserving(), "{label}");
     }

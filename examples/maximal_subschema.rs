@@ -6,8 +6,10 @@
 //! Run with: `cargo run --example maximal_subschema`
 
 use textpres::prelude::*;
+use tpx_trees::budget::BudgetHandle;
 
 fn main() {
+    let budget = BudgetHandle::unlimited();
     // Σ = {article, body, footnote}; articles contain text and footnotes,
     // footnotes contain text.
     let sigma = Alphabet::from_labels(["article", "body", "footnote"]);
@@ -36,7 +38,7 @@ fn main() {
     assert!(!report.is_preserving());
 
     // The maximal sub-schema: exactly the documents without footnotes.
-    let max = textpres::topdown_maximal_subschema(&t, &schema);
+    let max = textpres::topdown::maximal_subschema(&t, &schema, &budget).unwrap();
     println!(
         "maximal sub-schema: {} states, {} total size (trimmed NTA)\n",
         max.state_count(),
@@ -61,15 +63,21 @@ fn main() {
     assert!(max.accepts(&inside) && !max.accepts(&outside));
 
     // Witnesses from both sides, checked semantically.
-    let good = max.witness().expect("sub-schema is non-empty");
+    let good = max
+        .witness(&budget)
+        .unwrap()
+        .expect("sub-schema is non-empty");
     println!(
         "\nsample document from the sub-schema: {}",
         good.display(&sigma)
     );
     assert!(tpx_topdown::semantic::text_preserving_on(&t, &good));
 
-    let carved = tpx_treeauto::difference_nta(&schema, &max);
-    let bad = carved.witness().expect("something was carved out");
+    let carved = tpx_treeauto::difference_nta(&schema, &max, &budget).unwrap();
+    let bad = carved
+        .witness(&budget)
+        .unwrap()
+        .expect("something was carved out");
     println!(
         "sample carved-out document:          {}",
         bad.display(&sigma)

@@ -12,9 +12,8 @@ use textpres::engine::{
 };
 use textpres::format::parse_case;
 use textpres::prelude::{Alphabet, DtlBuilder, NtaBuilder};
-use textpres::treeauto::{
-    complement_nta, difference_nta, language_equal, try_complement_nta, try_difference_nta, Nta,
-};
+use textpres::treeauto::{complement_nta, difference_nta, language_equal, Nta};
+use tpx_trees::budget::BudgetHandle;
 
 fn corpus() -> Vec<(String, String)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/regressions");
@@ -34,7 +33,9 @@ fn corpus() -> Vec<(String, String)> {
 /// Runs `decider` ungoverned and under `options` (each on a fresh cache,
 /// so fuel is attributed to real builds) and checks the verdicts agree.
 fn assert_budget_inert(decider: &dyn Decider, nta: &Nta, options: &CheckOptions, path: &str) {
-    let plain = Engine::new().check(decider, nta);
+    let plain = Engine::new()
+        .check_governed(decider, nta, &CheckOptions::unlimited())
+        .unwrap();
     let governed = Engine::new()
         .check_governed(decider, nta, options)
         .unwrap_or_else(|e| panic!("{path}: generous budget exhausted: {e}"));
@@ -165,26 +166,26 @@ fn generous_budget_is_inert_for_treeauto_set_ops() {
         schemas.push((path, rc.case.schema_nta()));
     }
     for (path, nta) in &schemas {
-        let plain = complement_nta(nta);
-        let governed = try_complement_nta(nta, &generous)
+        let plain = complement_nta(nta, &BudgetHandle::unlimited()).unwrap();
+        let governed = complement_nta(nta, &generous)
             .unwrap_or_else(|e| panic!("{path}: generous complement exhausted: {e}"));
         assert!(
-            language_equal(&plain, &governed),
+            language_equal(&plain, &governed, &BudgetHandle::unlimited()).unwrap(),
             "{path}: budget changed the complement language"
         );
         assert!(
-            try_complement_nta(nta, &zero).is_err(),
+            complement_nta(nta, &zero).is_err(),
             "{path}: zero fuel must exhaust the complement"
         );
     }
     // Difference over a corpus pair: same inertness contract.
     let (p1, n1) = &schemas[0];
     let (p2, n2) = &schemas[schemas.len() - 1];
-    let plain = difference_nta(n1, n2);
-    let governed = try_difference_nta(n1, n2, &generous)
+    let plain = difference_nta(n1, n2, &BudgetHandle::unlimited()).unwrap();
+    let governed = difference_nta(n1, n2, &generous)
         .unwrap_or_else(|e| panic!("{p1} \\ {p2}: generous difference exhausted: {e}"));
     assert!(
-        language_equal(&plain, &governed),
+        language_equal(&plain, &governed, &BudgetHandle::unlimited()).unwrap(),
         "{p1} \\ {p2}: budget changed the difference language"
     );
     assert!(generous.fuel_spent() > 0, "governed ops must account fuel");

@@ -316,6 +316,37 @@ fn subschema_runs() {
 }
 
 #[test]
+fn subschema_honors_its_budget_flags() {
+    let f = Fixture::new("subschema-budget");
+    let (schema, bad) = (f.path("schema.txt"), f.path("bad.txt"));
+    let out = f.run(&["subschema", &schema, &bad, "--fuel", "1"]);
+    assert_eq!(code(&out), 3, "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("resource budget exhausted"), "{stderr}");
+    let out = f.run(&["subschema", &schema, &bad, "--fuel", "100000000"]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    // Flags subschema does not use are rejected, not silently ignored.
+    for flag in ["--jobs", "--degrade", "--metrics"] {
+        let mut args = vec!["subschema", &schema, &bad, flag];
+        if flag == "--jobs" {
+            args.push("7");
+        }
+        assert_eq!(code(&f.run(&args)), 2, "subschema {flag}");
+    }
+}
+
+#[test]
+fn flags_of_other_commands_are_rejected() {
+    let f = Fixture::new("foreign-flags");
+    let (schema, good) = (f.path("schema.txt"), f.path("good.txt"));
+    let out = f.run(&["check", &schema, &good, "--label", "doc", "--target", "x"]);
+    assert_eq!(code(&out), 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    let out = f.run(&["batch", &schema, &good, "--dtl"]);
+    assert_eq!(code(&out), 2);
+}
+
+#[test]
 fn check_trace_out_writes_jsonl_and_metrics_prints_table() {
     let f = Fixture::new("trace");
     let trace = f.path("trace.jsonl");

@@ -8,6 +8,7 @@
 //!   evaluation on random inputs.
 
 use textpres::prelude::*;
+use tpx_trees::budget::BudgetHandle;
 use tpx_trees::make_value_unique;
 
 fn universal(alpha: &Alphabet) -> Nta {
@@ -78,15 +79,20 @@ fn topdown_decider_vs_semantics_on_random_transducers() {
 /// same verdicts.
 #[test]
 fn copying_nfa_route_agrees_with_nta_route() {
+    let budget = BudgetHandle::unlimited();
     let alpha = tpx_workload::transducers::plain_alphabet(2);
     let schema = universal(&alpha);
     for seed in 0..60 {
         let t = tpx_workload::transducers::random_transducer(&alpha, 2, 0.7, seed);
         let via_nfa = tpx_topdown::decide::copying_witness(&t, &schema).is_some();
-        let via_nta = !tpx_topdown::subschema::copying_nta(&t)
-            .intersect(&schema)
-            .trim()
-            .is_empty();
+        let via_nta = !tpx_topdown::subschema::copying_nta(&t, &budget)
+            .unwrap()
+            .intersect(&schema, &budget)
+            .unwrap()
+            .trim(&budget)
+            .unwrap()
+            .is_empty(&budget)
+            .unwrap();
         assert_eq!(via_nfa, via_nta, "seed {seed}");
     }
 }

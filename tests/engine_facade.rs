@@ -2,7 +2,7 @@
 //! engine with identical verdicts, and engine witnesses round-trip through
 //! `textpres::format`.
 
-use textpres::engine::{DtlDecider, Engine, Outcome, TopdownDecider};
+use textpres::engine::{CheckOptions, DtlDecider, Engine, Outcome, TopdownDecider};
 use textpres::format::{parse_witness, render_path, render_witness};
 use textpres::prelude::*;
 use tpx_workload::transducers;
@@ -23,7 +23,13 @@ fn facade_check_topdown_equals_engine_verdict() {
     let schema = universal(&alpha);
     for (_, t) in transducers::suite(&alpha, 3) {
         let facade = textpres::check_topdown(&t, &schema);
-        let verdict = Engine::new().check(&TopdownDecider::new(&t), &schema);
+        let verdict = Engine::new()
+            .check_governed(
+                &TopdownDecider::new(&t),
+                &schema,
+                &CheckOptions::unlimited(),
+            )
+            .unwrap();
         assert_eq!(facade.is_preserving(), verdict.is_preserving());
         match (&facade, &verdict.outcome) {
             (CheckReport::TextPreserving, Outcome::Preserving) => {}
@@ -48,7 +54,9 @@ fn facade_check_dtl_equals_engine_verdict() {
     b.text_rule("q0");
     let t = b.finish();
     let facade = textpres::check_dtl(&t, &schema);
-    let verdict = Engine::new().check(&DtlDecider::new(&t), &schema);
+    let verdict = Engine::new()
+        .check_governed(&DtlDecider::new(&t), &schema, &CheckOptions::unlimited())
+        .unwrap();
     assert!(facade.is_preserving());
     assert!(verdict.is_preserving());
 }
@@ -58,7 +66,13 @@ fn rearranging_witness_round_trips_through_format() {
     let alpha = textpres::trees::samples::recipe_alphabet();
     let schema = textpres::schema::samples::recipe_dtd(&alpha).to_nta();
     let t = textpres::topdown::samples::rearranging_example(&alpha);
-    let verdict = Engine::new().check(&TopdownDecider::new(&t), &schema);
+    let verdict = Engine::new()
+        .check_governed(
+            &TopdownDecider::new(&t),
+            &schema,
+            &CheckOptions::unlimited(),
+        )
+        .unwrap();
     let Outcome::Rearranging { witness } = &verdict.outcome else {
         panic!("sample must rearrange over the recipe schema, got {verdict:?}");
     };
@@ -91,7 +105,9 @@ fn dtl_witness_round_trips_through_format() {
         )],
     );
     t.set_text_rule(textpres::dtl::DtlState(0), true);
-    let verdict = Engine::new().check(&DtlDecider::new(&t), &schema);
+    let verdict = Engine::new()
+        .check_governed(&DtlDecider::new(&t), &schema, &CheckOptions::unlimited())
+        .unwrap();
     let Outcome::NotPreserving { witness } = &verdict.outcome else {
         panic!("doubling must be detected");
     };
@@ -107,7 +123,13 @@ fn copying_path_renders_readably() {
     let alpha = transducers::plain_alphabet(2);
     let schema = universal(&alpha);
     let t = transducers::copier_at_depth(&alpha, 3, 1);
-    let verdict = Engine::new().check(&TopdownDecider::new(&t), &schema);
+    let verdict = Engine::new()
+        .check_governed(
+            &TopdownDecider::new(&t),
+            &schema,
+            &CheckOptions::unlimited(),
+        )
+        .unwrap();
     let Outcome::Copying { path } = &verdict.outcome else {
         panic!("copier must copy over the universal schema");
     };

@@ -5,39 +5,58 @@
 //! and on *witness validity* — and the budgeted wrappers must be inert
 //! under generous fuel and fail fast under none.
 
-use textpres::treeauto::{
-    language_equal, nta_to_nbta, subset_nta, try_language_equal, try_subset_nta, EncSym, Nbta, Nta,
-};
-use textpres::trees::budget::Budget;
+use textpres::treeauto::{language_equal, nta_to_nbta, subset_nta, EncSym, Nbta, Nta};
+use textpres::trees::budget::{Budget, BudgetHandle};
 use tpx_workload::random_dtd;
 
 /// The two schema NTAs of a seeded pair, trimmed and in ranked encoding.
 fn ranked_pair(seed: u64, n_labels: usize) -> (Nta, Nta, Nbta<EncSym>, Nbta<EncSym>) {
+    let budget = BudgetHandle::unlimited();
     let n1 = random_dtd(n_labels, seed).nta();
     let n2 = random_dtd(n_labels, seed + 1000).nta();
-    let a = nta_to_nbta(&n1).trim();
-    let b = nta_to_nbta(&n2).trim();
+    let a = nta_to_nbta(&n1).trim(&budget).unwrap();
+    let b = nta_to_nbta(&n2).trim(&budget).unwrap();
     (n1, n2, a, b)
 }
 
 /// The eager baseline: L(a) ⊆ L(b) iff L(a) ∩ L(b)ᶜ = ∅, with the
 /// complement built by full determinization.
 fn eager_included(a: &Nbta<EncSym>, b: &Nbta<EncSym>) -> bool {
-    a.intersect(&b.determinize().complement().to_nbta().trim())
-        .is_empty()
+    let budget = BudgetHandle::unlimited();
+    a.intersect(
+        &b.determinize(&budget)
+            .unwrap()
+            .complement()
+            .to_nbta()
+            .trim(&budget)
+            .unwrap(),
+        &budget,
+    )
+    .unwrap()
+    .is_empty(&budget)
+    .unwrap()
 }
 
 #[test]
 fn antichain_inclusion_matches_eager_route_on_random_dtd_pairs() {
+    let budget = BudgetHandle::unlimited();
     let mut separated = 0usize;
     for n_labels in [2usize, 3] {
         for seed in 0..12u64 {
             let ctx = format!("n_labels {n_labels}, seed {seed}");
             let (n1, n2, a, b) = ranked_pair(seed, n_labels);
             let eager = eager_included(&a, &b);
-            assert_eq!(a.included_in(&b), eager, "{ctx}: verdict diverged");
-            assert_eq!(subset_nta(&n1, &n2), eager, "{ctx}: Nta-level verdict");
-            match a.inclusion_counterexample(&b) {
+            assert_eq!(
+                a.included_in(&b, &budget).unwrap(),
+                eager,
+                "{ctx}: verdict diverged"
+            );
+            assert_eq!(
+                subset_nta(&n1, &n2, &budget).unwrap(),
+                eager,
+                "{ctx}: Nta-level verdict"
+            );
+            match a.inclusion_counterexample(&b, &budget).unwrap() {
                 Some(cex) => {
                     separated += 1;
                     assert!(!eager, "{ctx}: counterexample despite inclusion");
@@ -56,24 +75,31 @@ fn antichain_inclusion_matches_eager_route_on_random_dtd_pairs() {
 
 #[test]
 fn antichain_inclusion_confirms_reflexive_and_union_inclusions() {
+    let budget = BudgetHandle::unlimited();
     // Pairs that *are* included by construction: A ⊆ A and A ⊆ A ∪ B.
     for seed in 0..8u64 {
         let (n1, _, a, b) = ranked_pair(seed, 3);
-        assert!(a.included_in(&a), "seed {seed}: A ⊄ A");
+        assert!(a.included_in(&a, &budget).unwrap(), "seed {seed}: A ⊄ A");
         assert!(
-            a.inclusion_counterexample(&a.union(&b)).is_none(),
+            a.inclusion_counterexample(&a.union(&b), &budget)
+                .unwrap()
+                .is_none(),
             "seed {seed}: A ⊄ A ∪ B"
         );
-        assert!(language_equal(&n1, &n1), "seed {seed}: A ≠ A");
+        assert!(
+            language_equal(&n1, &n1, &budget).unwrap(),
+            "seed {seed}: A ≠ A"
+        );
     }
 }
 
 #[test]
 fn intersect_witness_matches_product_emptiness() {
+    let budget = BudgetHandle::unlimited();
     for seed in 0..12u64 {
         let (_, _, a, b) = ranked_pair(seed, 3);
-        let product_empty = a.intersect(&b).is_empty();
-        match a.intersect_witness(&b) {
+        let product_empty = a.intersect(&b, &budget).unwrap().is_empty(&budget).unwrap();
+        match a.intersect_witness(&b, &budget).unwrap() {
             Some(w) => {
                 assert!(!product_empty, "seed {seed}: witness from empty product");
                 assert!(a.accepts(&w), "seed {seed}: witness not in L(A)");
@@ -91,17 +117,17 @@ fn budgeted_inclusion_is_inert_when_generous_and_fails_on_zero_fuel() {
     for seed in 0..6u64 {
         let (n1, n2, _, _) = ranked_pair(seed, 3);
         assert_eq!(
-            try_subset_nta(&n1, &n2, &generous).expect("generous fuel"),
-            subset_nta(&n1, &n2),
+            subset_nta(&n1, &n2, &generous).expect("generous fuel"),
+            subset_nta(&n1, &n2, &BudgetHandle::unlimited()).unwrap(),
             "seed {seed}: budget changed the subset verdict"
         );
         assert_eq!(
-            try_language_equal(&n1, &n2, &generous).expect("generous fuel"),
-            language_equal(&n1, &n2),
+            language_equal(&n1, &n2, &generous).expect("generous fuel"),
+            language_equal(&n1, &n2, &BudgetHandle::unlimited()).unwrap(),
             "seed {seed}: budget changed the equality verdict"
         );
         assert!(
-            try_subset_nta(&n1, &n2, &zero).is_err(),
+            subset_nta(&n1, &n2, &zero).is_err(),
             "seed {seed}: zero fuel must exhaust"
         );
     }

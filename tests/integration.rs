@@ -4,6 +4,7 @@
 //! extension tests.
 
 use textpres::prelude::*;
+use tpx_trees::budget::BudgetHandle;
 
 #[test]
 fn figure_1_through_every_layer() {
@@ -65,6 +66,7 @@ fn violations_are_detected_and_witnessed() {
 
 #[test]
 fn maximal_subschema_is_sound_and_maximal_on_samples() {
+    let budget = BudgetHandle::unlimited();
     // Copying under <footnote> only.
     let sigma = Alphabet::from_labels(["doc", "p", "footnote"]);
     let mut dtd = DtdBuilder::new(&sigma);
@@ -83,7 +85,7 @@ fn maximal_subschema_is_sound_and_maximal_on_samples() {
     tb.text_rule("qf");
     let t = tb.finish();
 
-    let max = textpres::topdown_maximal_subschema(&t, &schema);
+    let max = textpres::topdown::maximal_subschema(&t, &schema, &budget).unwrap();
     // Soundness: 30 sampled members are all semantically preserved.
     let mut found = 0;
     for seed in 0..60 {
@@ -98,8 +100,11 @@ fn maximal_subschema_is_sound_and_maximal_on_samples() {
     }
     assert!(found >= 10, "sub-schema should be richly inhabited");
     // Maximality: everything carved out is a genuine counter-example.
-    let carved = tpx_treeauto::difference_nta(&schema, &max);
-    let cex = carved.witness().expect("the copying region is non-empty");
+    let carved = tpx_treeauto::difference_nta(&schema, &max, &budget).unwrap();
+    let cex = carved
+        .witness(&budget)
+        .unwrap()
+        .expect("the copying region is non-empty");
     let unique = Tree::from_hedge(tpx_trees::make_value_unique(cex.as_hedge())).unwrap();
     assert!(!tpx_topdown::semantic::text_preserving_on(&t, &unique));
 }

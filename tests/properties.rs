@@ -164,7 +164,7 @@ fn xpath_vs_mso_on_random_trees() {
                 for &u in &tree.dfs() {
                     let asg = tpx_mso::Assignment::new().bind(x, v).bind(y, u);
                     assert_eq!(
-                        tpx_mso::naive_eval(&tree, &f, &asg),
+                        tpx_mso::naive_eval(&tree, &f, &asg).unwrap(),
                         rel.contains(v, u),
                         "seed {seed}: {expr} at {v:?},{u:?}"
                     );

@@ -79,7 +79,13 @@ fn retention_decider_matches_bounded_enumerate_and_run_oracle() {
             let trees = textpres::dtl::bounded::enumerate_schema_trees(&nta, 5, 200);
             for labels in label_subsets(&schema.alpha, seed) {
                 let ctx = format!("n_labels {n_labels}, seed {seed}, labels {labels:?}");
-                let verdict = engine.check(&TextRetentionDecider::new(&t, labels.clone()), &nta);
+                let verdict = engine
+                    .check_governed(
+                        &TextRetentionDecider::new(&t, labels.clone()),
+                        &nta,
+                        &CheckOptions::unlimited(),
+                    )
+                    .unwrap();
                 assert_eq!(verdict.analysis, TEXT_RETENTION, "{ctx}");
                 assert_eq!(verdict.decider, "topdown/retention", "{ctx}");
                 match &verdict.outcome {
@@ -120,6 +126,7 @@ fn retention_decider_matches_bounded_enumerate_and_run_oracle() {
 
 #[test]
 fn retention_shares_the_schema_artifact_with_text_preservation() {
+    let unlimited = CheckOptions::unlimited();
     // The retention decider declares the *same* analysis-free
     // `topdown/schema` stage as the text-preservation decider, so running
     // either one first means the other hits the cache.
@@ -128,12 +135,20 @@ fn retention_shares_the_schema_artifact_with_text_preservation() {
     let t = random_transducer(&schema.alpha, 2, 0.8, 99);
     let labels: Vec<Symbol> = schema.alpha.symbols().collect();
     let engine = Engine::new();
-    let first = engine.check(&TopdownDecider::new(&t), &nta);
+    let first = engine
+        .check_governed(&TopdownDecider::new(&t), &nta, &unlimited)
+        .unwrap();
     assert_eq!(
         first.stats.stage("topdown/schema").unwrap().cache_hit,
         Some(false)
     );
-    let second = engine.check(&TextRetentionDecider::new(&t, labels.clone()), &nta);
+    let second = engine
+        .check_governed(
+            &TextRetentionDecider::new(&t, labels.clone()),
+            &nta,
+            &unlimited,
+        )
+        .unwrap();
     assert_eq!(
         second.stats.stage("topdown/schema").unwrap().cache_hit,
         Some(true),
@@ -141,7 +156,13 @@ fn retention_shares_the_schema_artifact_with_text_preservation() {
     );
     // The retention transducer artifact is label-independent: a different
     // label set against the same transducer hits it.
-    let third = engine.check(&TextRetentionDecider::new(&t, labels[..1].to_vec()), &nta);
+    let third = engine
+        .check_governed(
+            &TextRetentionDecider::new(&t, labels[..1].to_vec()),
+            &nta,
+            &unlimited,
+        )
+        .unwrap();
     assert_eq!(
         third
             .stats
@@ -219,7 +240,13 @@ fn conformance_decider_agrees_with_the_transform_oracle_on_enumerated_trees() {
         let nta = schema.nta();
         let t = random_transducer(&schema.alpha, 2, 0.8, seed ^ 0x5151);
         let engine = Engine::new();
-        let verdict = engine.check(&OutputConformanceDecider::new(&t, &nta), &nta);
+        let verdict = engine
+            .check_governed(
+                &OutputConformanceDecider::new(&t, &nta),
+                &nta,
+                &CheckOptions::unlimited(),
+            )
+            .unwrap();
         assert_eq!(verdict.analysis, OUTPUT_CONFORMANCE, "seed {seed}");
         match &verdict.outcome {
             Outcome::Preserving => {

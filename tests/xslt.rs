@@ -235,14 +235,19 @@ fn generated_corpus_agrees_with_its_ground_truth() {
     // generated stylesheet must compile cleanly (they are all inside the
     // fragment by construction) and the text-preservation verdict must
     // match the generator's ground truth.
-    use textpres::engine::{Engine, TopdownDecider};
+    use textpres::engine::{CheckOptions, Engine, TopdownDecider};
     let cases = tpx_workload::xslt_corpus(48, 11);
     let mut failing = 0usize;
     for case in &cases {
         let artifact = textpres::frontend::compile_stylesheet(&case.schema_src, &case.xslt_src)
             .unwrap_or_else(|e| panic!("{}: {e}", case.name));
-        let verdict =
-            Engine::new().check(&TopdownDecider::new(&artifact.transducer), &artifact.schema);
+        let verdict = Engine::new()
+            .check_governed(
+                &TopdownDecider::new(&artifact.transducer),
+                &artifact.schema,
+                &CheckOptions::unlimited(),
+            )
+            .unwrap();
         assert_eq!(
             verdict.is_preserving(),
             case.expect_preserving,
