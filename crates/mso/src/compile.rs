@@ -285,57 +285,27 @@ fn complement(a: &Nbta<MSym>, budget: &BudgetHandle) -> Result<Nbta<MSym>, Budge
 }
 
 /// Drops the highest bit (the variable at position `width`, i.e. the last
-/// of `width + 1` bits): existential projection.
+/// of `width + 1` bits): existential projection onto the canonical
+/// alphabets for `width` bits, in one pass over the rule table.
+///
+/// Charges one fuel unit per rule of `a`, then the trim's.
 fn project_last_bit(
     a: &Nbta<MSym>,
     n_symbols: usize,
     width: usize,
     budget: &BudgetHandle,
 ) -> Result<Nbta<MSym>, BudgetExceeded> {
+    budget.charge(a.rule_count() as u64)?;
     let mask = (1u64 << width) - 1;
-    let projected = a.map_symbols(|s| MSym {
-        label: s.label,
-        bits: s.bits & mask,
-    });
-    // map_symbols derives alphabets from the source; normalize to the
-    // canonical alphabets for this width.
-    rebuild_alphabets(&projected, n_symbols, width, budget)?.trim(budget)
-}
-
-/// Rebuilds `a` with the canonical alphabets for `width` bits (languages
-/// are unchanged; rule sets are already over a subset of these symbols).
-fn rebuild_alphabets(
-    a: &Nbta<MSym>,
-    n_symbols: usize,
-    width: usize,
-    budget: &BudgetHandle,
-) -> Result<Nbta<MSym>, BudgetExceeded> {
-    let mut out = Nbta::new(
+    let projected = a.relabel(
         atomic::leaf_alphabet(),
         atomic::internal_alphabet(n_symbols, width),
+        |s| MSym {
+            label: s.label,
+            bits: s.bits & mask,
+        },
     );
-    for _ in 0..a.state_count() {
-        out.add_state();
-    }
-    for q in a.states() {
-        out.set_final(q, a.is_final(q));
-    }
-    for l in a.leaf_alphabet() {
-        for &q in a.leaf_states(l) {
-            out.add_leaf_rule(*l, q);
-        }
-    }
-    for l in a.internal_alphabet() {
-        for q1 in a.states() {
-            budget.charge(a.state_count() as u64)?;
-            for q2 in a.states() {
-                for &q in a.rule_states(l, q1, q2) {
-                    out.add_rule(*l, q1, q2, q);
-                }
-            }
-        }
-    }
-    Ok(out)
+    projected.trim(budget)
 }
 
 /// Compiles a sentence (no free variables) to an automaton over plain
@@ -371,37 +341,20 @@ pub fn compile_sentence_cached(
 }
 
 /// Converts a zero-bit marked automaton into one over plain encoding
-/// symbols.
+/// symbols, in one pass over the rule table.
+///
+/// Charges one fuel unit per rule of `a`, then the trim's.
 pub fn strip_bits(
     a: &Nbta<MSym>,
     n_symbols: usize,
     budget: &BudgetHandle,
 ) -> Result<Nbta<EncSym>, BudgetExceeded> {
-    let mut out = Nbta::new(
+    budget.charge(a.rule_count() as u64)?;
+    let out = a.relabel(
         vec![EncSym::Nil],
         tpx_treeauto::convert::enc_internal_alphabet(n_symbols),
+        |s| s.label,
     );
-    for _ in 0..a.state_count() {
-        out.add_state();
-    }
-    for q in a.states() {
-        out.set_final(q, a.is_final(q));
-    }
-    for l in a.leaf_alphabet() {
-        for &q in a.leaf_states(l) {
-            out.add_leaf_rule(l.label, q);
-        }
-    }
-    for l in a.internal_alphabet() {
-        for q1 in a.states() {
-            budget.charge(a.state_count() as u64)?;
-            for q2 in a.states() {
-                for &q in a.rule_states(l, q1, q2) {
-                    out.add_rule(l.label, q1, q2, q);
-                }
-            }
-        }
-    }
     out.trim(budget)
 }
 

@@ -254,17 +254,18 @@ pub fn nbta_to_nta(
         v
     };
 
-    // Collect all rules with internal symbols as (λ, b, y, a).
+    // Collect all rules with internal symbols as (λ, b, y, a), in one pass
+    // over the rule table. Ordered by (λ's alphabet position, b, y), so the
+    // NTA's state numbering depends on the language's rules, not on the
+    // order a construction inserted them in.
+    let position: HashMap<EncSym, usize> = (nbta.internal_alphabet().iter().enumerate())
+        .map(|(i, &l)| (l, i))
+        .collect();
     let mut rules: Vec<(EncSym, State, State, State)> = Vec::new();
-    for l in nbta.internal_alphabet().to_vec() {
-        for b in nbta.states() {
-            for y in nbta.states() {
-                for &a in nbta.rule_states(&l, b, y) {
-                    rules.push((l, b, y, a));
-                }
-            }
-        }
+    for (&l, b, y, targets) in nbta.rules() {
+        rules.extend(targets.iter().map(|&a| (l, b, y, a)));
     }
+    rules.sort_by_key(|&(l, b, y, _)| (position[&l], b, y));
 
     // Materialize NTA states (λ, a, b) from rules.
     let mut state_ids: HashMap<(EncSym, State, State), State> = HashMap::new();

@@ -30,29 +30,13 @@
 //! with provenance and stop at the first final×final pair, without
 //! constructing the product automaton that [`Nbta::intersect`] returns.
 
-use crate::nbta::Nbta;
+use crate::nbta::{Event, Nbta, Via};
 use crate::nta::State;
 use crate::ranked::RankedTree;
-use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use tpx_automata::antichain::{bit_has, bit_set, Frontier};
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
-
-/// How an explored pair was first derived, for witness decoding. Ids
-/// index the exploration arena and always point at earlier entries.
-enum Prov<L> {
-    Leaf(L),
-    Node(L, usize, usize),
-}
-
-fn decode<L: Clone>(frontier: &Frontier<State, Prov<L>>, id: usize) -> RankedTree<L> {
-    match &frontier[id].prov {
-        Prov::Leaf(l) => RankedTree::Leaf(l.clone()),
-        Prov::Node(l, p1, p2) => {
-            RankedTree::node(l.clone(), decode(frontier, *p1), decode(frontier, *p2))
-        }
-    }
-}
+use tpx_trees::hash::FxHashMap;
 
 impl<L: Clone + Eq + Hash> Nbta<L> {
     /// Whether `L(self) ⊆ L(other)` — decided lazily, without ever
@@ -71,54 +55,56 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     ///
     /// Explores `(a, S)` pairs bottom-up, prunes with a per-state antichain of
     /// ⊆-minimal macro-states, and early-exits with a decoded witness at the
-    /// first rejecting pair.
+    /// first rejecting pair. `self`'s side of each join reads its operand
+    /// index, as [`Nbta::intersect`] does.
     pub fn inclusion_counterexample(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
     ) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
         budget.charge(1)?;
-        let words = other.n_states.div_ceil(64).max(1);
+        let other = self.aligned(other);
+        let words = other.state_count().div_ceil(64).max(1);
         let mut b_final_bits = vec![0u64; words];
         for q in other.states() {
             if other.is_final(q) {
                 bit_set(&mut b_final_bits, q.index());
             }
         }
-        // `other`'s rules grouped by symbol, for the macro-successor step.
-        type BySymbol<'x, L> = HashMap<&'x L, Vec<(State, State, &'x Vec<State>)>>;
-        let mut b_by_symbol: BySymbol<'_, L> = HashMap::new();
-        for ((l, b1, b2), outs) in &other.rules {
-            b_by_symbol.entry(l).or_default().push((*b1, *b2, outs));
-        }
-        // `self`'s rules indexed by (symbol, operand side), as in
-        // `intersect`.
-        type Idx<'x, L> = HashMap<(&'x L, State), Vec<(State, &'x Vec<State>)>>;
-        let mut idx_first: Idx<'_, L> = HashMap::new();
-        let mut idx_second: Idx<'_, L> = HashMap::new();
-        for ((l, a1, a2), outs) in &self.rules {
-            idx_first.entry((l, *a1)).or_default().push((*a2, outs));
-            idx_second.entry((l, *a2)).or_default().push((*a1, outs));
-        }
+        // `other`'s rules grouped by symbol id, for the macro-successor step.
+        let b_by_symbol = other.rules_by_symbol();
+        let step = |sym: u32, s1: &[u64], s2: &[u64]| -> Vec<u64> {
+            let mut out = vec![0u64; words];
+            for &(b1, b2, outs) in &b_by_symbol[sym as usize] {
+                if bit_has(s1, b1.index()) && bit_has(s2, b2.index()) {
+                    for &b in outs {
+                        bit_set(&mut out, b.index());
+                    }
+                }
+            }
+            out
+        };
 
         // Dominated pairs leave their antichain but stay in the arena, so
         // `by_astate` (the join index over every interned pair) keeps them
         // as valid join partners.
-        let mut frontier: Frontier<State, Prov<L>> = Frontier::default();
-        let mut by_astate: HashMap<State, Vec<usize>> = HashMap::new();
+        let mut frontier: Frontier<State, Via> = Frontier::default();
+        let mut by_astate: Vec<Vec<usize>> = vec![Vec::new(); self.state_count()];
         let rejects = |set: &[u64]| set.iter().zip(&b_final_bits).all(|(s, f)| s & f == 0);
+        let decode =
+            |frontier: &Frontier<State, Via>, id: usize| self.decode(id, &|i| frontier[i].prov);
 
         // Leaf rules seed the worklist; every interned pair is checked for
         // rejection immediately, so a leaf-level counterexample exits here.
-        for l in self.leaf_alphabet().to_vec() {
+        for (pos, l) in self.leaf_alphabet().iter().enumerate() {
             let mut seed = vec![0u64; words];
-            for &b in other.leaf_states(&l) {
+            for &b in other.leaf_states(l) {
                 bit_set(&mut seed, b.index());
             }
-            for &a in &self.leaf_states(&l).to_vec() {
+            for &a in self.leaf_states(l) {
                 budget.charge(1)?;
-                if let Some(id) = frontier.intern(a, seed.clone(), Prov::Leaf(l.clone())) {
-                    by_astate.entry(a).or_default().push(id);
+                if let Some(id) = frontier.intern(a, seed.clone(), Via::Leaf(pos)) {
+                    by_astate[a.index()].push(id);
                     if self.is_final(a) && rejects(&frontier[id].set) {
                         return Ok(Some(decode(&frontier, id)));
                     }
@@ -126,62 +112,40 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
             }
         }
 
-        let symbols: Vec<&L> = self.internal_alphabet().iter().collect();
         while let Some(p) = frontier.pop() {
             budget.charge(1)?;
             let a = frontier[p].state;
-            for &l in &symbols {
-                // The macro-successor depends only on (σ, S₁, S₂), not on
-                // the A-rule, so compute it once per partner per side.
-                let mut succ_memo: HashMap<(usize, bool), Vec<u64>> = HashMap::new();
-                let step = |s1: &[u64], s2: &[u64]| -> Vec<u64> {
-                    let mut out = vec![0u64; words];
-                    if let Some(rules) = b_by_symbol.get(l) {
-                        for &(b1, b2, outs) in rules {
-                            if bit_has(s1, b1.index()) && bit_has(s2, b2.index()) {
-                                for &b in outs {
-                                    bit_set(&mut out, b.index());
-                                }
-                            }
-                        }
-                    }
-                    out
-                };
-                // Popped pair as LEFT and as RIGHT operand; partners must
-                // already be interned (the later-popped side completes
-                // every join, exactly as in `intersect`).
-                for left in [true, false] {
-                    let idx = if left { &idx_first } else { &idx_second };
-                    let Some(rules_a) = idx.get(&(l, a)) else {
-                        continue;
-                    };
-                    for &(a2, outs) in rules_a {
-                        let partners = by_astate.get(&a2).cloned().unwrap_or_default();
-                        for p2 in partners {
-                            budget.charge(1)?;
-                            let succ = succ_memo
-                                .entry((p2, left))
-                                .or_insert_with(|| {
-                                    if left {
-                                        step(&frontier[p].set, &frontier[p2].set)
-                                    } else {
-                                        step(&frontier[p2].set, &frontier[p].set)
-                                    }
-                                })
-                                .clone();
-                            let prov = |l: &L| {
+            // The macro-successor depends only on (σ, S₁, S₂), not on the
+            // A-rule, so compute it once per symbol, partner and side.
+            let mut succ_memo: FxHashMap<(u32, usize, bool), Vec<u64>> = FxHashMap::default();
+            // Popped pair as LEFT and as RIGHT operand; partners must
+            // already be interned (the later-popped side completes every
+            // join).
+            for left in [true, false] {
+                for (sym, a2, outs) in self.operand_rules(a, left) {
+                    let partners = by_astate[a2.index()].clone();
+                    for p2 in partners {
+                        budget.charge(1)?;
+                        let succ = succ_memo
+                            .entry((sym, p2, left))
+                            .or_insert_with(|| {
                                 if left {
-                                    Prov::Node(l.clone(), p, p2)
+                                    step(sym, &frontier[p].set, &frontier[p2].set)
                                 } else {
-                                    Prov::Node(l.clone(), p2, p)
+                                    step(sym, &frontier[p2].set, &frontier[p].set)
                                 }
-                            };
-                            for &oa in outs {
-                                if let Some(id) = frontier.intern(oa, succ.clone(), prov(l)) {
-                                    by_astate.entry(oa).or_default().push(id);
-                                    if self.is_final(oa) && rejects(&frontier[id].set) {
-                                        return Ok(Some(decode(&frontier, id)));
-                                    }
+                            })
+                            .clone();
+                        let via = if left {
+                            Via::Node(sym, p, p2)
+                        } else {
+                            Via::Node(sym, p2, p)
+                        };
+                        for &oa in outs {
+                            if let Some(id) = frontier.intern(oa, succ.clone(), via) {
+                                by_astate[oa.index()].push(id);
+                                if self.is_final(oa) && rejects(&frontier[id].set) {
+                                    return Ok(Some(decode(&frontier, id)));
                                 }
                             }
                         }
@@ -193,136 +157,32 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     }
 
     /// A tree in `L(self) ∩ L(other)`, or `None` when the intersection is
-    /// empty — found by exploring derivable `(a, b)` pairs with
-    /// provenance and exiting at the first final×final pair, without
-    /// building the product automaton.
+    /// empty — found by the same pair walk as [`Nbta::intersect`], stopped
+    /// at the first final×final pair, without building the product
+    /// automaton.
     ///
-    /// Charges one fuel unit per discovered pair and per rule join, like
-    /// [`Nbta::intersect`].
+    /// Charges one fuel unit up front, then per popped pair and per product
+    /// rule target, like [`Nbta::intersect`].
     pub fn intersect_witness(
         &self,
         other: &Nbta<L>,
         budget: &BudgetHandle,
     ) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
         budget.charge(1)?;
-        struct PairAb<L> {
-            a: State,
-            b: State,
-            prov: Prov<L>,
-        }
-        let mut arena: Vec<PairAb<L>> = Vec::new();
-        let mut ids: HashMap<(State, State), usize> = HashMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let intern = |a: State,
-                      b: State,
-                      prov: Prov<L>,
-                      arena: &mut Vec<PairAb<L>>,
-                      ids: &mut HashMap<(State, State), usize>,
-                      queue: &mut VecDeque<usize>|
-         -> (usize, bool) {
-            if let Some(&id) = ids.get(&(a, b)) {
-                return (id, false);
+        let mut prov: Vec<Via> = Vec::new();
+        let mut found = None;
+        self.product_walk(other, budget, |event| {
+            let Event::Pair { id, a, b, via } = event else {
+                return false;
+            };
+            prov.push(via);
+            let accepting = self.is_final(a) && other.is_final(b);
+            if accepting {
+                found = Some(id);
             }
-            let id = arena.len();
-            arena.push(PairAb { a, b, prov });
-            ids.insert((a, b), id);
-            queue.push_back(id);
-            (id, true)
-        };
-        let accepting = |arena: &[PairAb<L>], id: usize| -> Option<RankedTree<L>> {
-            let p = &arena[id];
-            (self.is_final(p.a) && other.is_final(p.b)).then(|| {
-                fn build<L: Clone>(arena: &[PairAb<L>], id: usize) -> RankedTree<L> {
-                    match &arena[id].prov {
-                        Prov::Leaf(l) => RankedTree::Leaf(l.clone()),
-                        Prov::Node(l, p1, p2) => {
-                            RankedTree::node(l.clone(), build(arena, *p1), build(arena, *p2))
-                        }
-                    }
-                }
-                build(arena, id)
-            })
-        };
-        for l in self.leaf_alphabet().to_vec() {
-            let bs = other.leaf_states(&l).to_vec();
-            for &a in &self.leaf_states(&l).to_vec() {
-                for &b in &bs {
-                    budget.charge(1)?;
-                    let (id, fresh) = intern(
-                        a,
-                        b,
-                        Prov::Leaf(l.clone()),
-                        &mut arena,
-                        &mut ids,
-                        &mut queue,
-                    );
-                    if fresh {
-                        if let Some(w) = accepting(&arena, id) {
-                            return Ok(Some(w));
-                        }
-                    }
-                }
-            }
-        }
-        type Idx<'x, L> = HashMap<(&'x L, State), Vec<(State, &'x Vec<State>)>>;
-        let mut idx1_first: Idx<'_, L> = HashMap::new();
-        let mut idx1_second: Idx<'_, L> = HashMap::new();
-        for ((l, a1, a2), outs) in &self.rules {
-            idx1_first.entry((l, *a1)).or_default().push((*a2, outs));
-            idx1_second.entry((l, *a2)).or_default().push((*a1, outs));
-        }
-        let mut idx2_first: Idx<'_, L> = HashMap::new();
-        let mut idx2_second: Idx<'_, L> = HashMap::new();
-        for ((l, b1, b2), outs) in &other.rules {
-            idx2_first.entry((l, *b1)).or_default().push((*b2, outs));
-            idx2_second.entry((l, *b2)).or_default().push((*b1, outs));
-        }
-        let symbols: Vec<&L> = self.internal_alphabet().iter().collect();
-        while let Some(p) = queue.pop_front() {
-            budget.charge(1)?;
-            let (a, b) = (arena[p].a, arena[p].b);
-            for &l in &symbols {
-                for left in [true, false] {
-                    let (i1, i2) = if left {
-                        (&idx1_first, &idx2_first)
-                    } else {
-                        (&idx1_second, &idx2_second)
-                    };
-                    let (Some(r1), Some(r2)) = (i1.get(&(l, a)), i2.get(&(l, b))) else {
-                        continue;
-                    };
-                    let joins: Vec<(State, &Vec<State>, State, &Vec<State>)> = r1
-                        .iter()
-                        .flat_map(|&(a2, o1)| r2.iter().map(move |&(b2, o2)| (a2, o1, b2, o2)))
-                        .collect();
-                    for (a2, outs1, b2, outs2) in joins {
-                        // The partner pair must already be discovered.
-                        if !ids.contains_key(&(a2, b2)) {
-                            continue;
-                        }
-                        let p2 = ids[&(a2, b2)];
-                        for &oa in outs1 {
-                            for &ob in outs2 {
-                                budget.charge(1)?;
-                                let prov = if left {
-                                    Prov::Node(l.clone(), p, p2)
-                                } else {
-                                    Prov::Node(l.clone(), p2, p)
-                                };
-                                let (id, fresh) =
-                                    intern(oa, ob, prov, &mut arena, &mut ids, &mut queue);
-                                if fresh {
-                                    if let Some(w) = accepting(&arena, id) {
-                                        return Ok(Some(w));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(None)
+            accepting
+        })?;
+        Ok(found.map(|id| self.decode(id, &|i| prov[i])))
     }
 }
 

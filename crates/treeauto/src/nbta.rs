@@ -7,39 +7,242 @@
 //! complement are relative to those explicit alphabets, so Boolean closure
 //! is available for the counter-example-language constructions of
 //! Sections 4.3 and 5.3.
+//!
+//! Representation (DESIGN.md §13): a rule names its symbol by its
+//! position in the internal alphabet (a `u32` id). Rules live in one
+//! table in insertion order, one entry per `(σ, q₁, q₂)` key, with a
+//! single target stored inline. Products, saturations and trims read an
+//! *operand index* — per state, the rules taking it as left (resp. right)
+//! operand, sorted by symbol id — built once per automaton and shared by
+//! its clones. Every walk follows table or index order, never a hash
+//! map's, so results, witnesses and fuel charges are reproducible.
 
 use crate::nta::State;
 use crate::ranked::RankedTree;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::hash::Hash;
+use std::sync::{Arc, OnceLock};
+use tpx_automata::antichain::{bit_has, bit_set};
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
+use tpx_trees::hash::{FxHashMap, FxHashSet};
 
-/// Internal rules grouped by symbol: `(q₁, q₂, result states)` per `σ`.
-type RulesBySymbol<'a, L> = HashMap<&'a L, Vec<(State, State, &'a Vec<State>)>>;
+/// The leaf and internal alphabets plus the internal symbol → id table,
+/// shared by every automaton built over the same symbols.
+#[derive(Debug)]
+struct Alphabets<L> {
+    leaf: Vec<L>,
+    internal: Vec<L>,
+    ids: FxHashMap<L, u32>,
+}
+
+impl<L: Clone + Eq + Hash> Alphabets<L> {
+    fn new(leaf: Vec<L>, internal: Vec<L>) -> Arc<Self> {
+        let mut ids = FxHashMap::default();
+        for (i, l) in internal.iter().enumerate() {
+            ids.entry(l.clone()).or_insert(i as u32);
+        }
+        Arc::new(Alphabets {
+            leaf,
+            internal,
+            ids,
+        })
+    }
+
+    fn id(&self, l: &L) -> Option<u32> {
+        self.ids.get(l).copied()
+    }
+
+    fn leaf_pos(&self, l: &L) -> Option<usize> {
+        self.leaf.iter().position(|x| x == l)
+    }
+}
+
+/// The result states of one rule key; the common single target is inline.
+#[derive(Clone, Debug)]
+enum Targets {
+    One(State),
+    Many(Vec<State>),
+}
+
+impl Targets {
+    fn as_slice(&self) -> &[State] {
+        match self {
+            Targets::One(q) => std::slice::from_ref(q),
+            Targets::Many(v) => v,
+        }
+    }
+
+    fn insert(&mut self, q: State) {
+        match self {
+            Targets::One(p) if *p == q => {}
+            Targets::One(p) => *self = Targets::Many(vec![*p, q]),
+            Targets::Many(v) if !v.contains(&q) => v.push(q),
+            Targets::Many(_) => {}
+        }
+    }
+
+    /// The targets `f` keeps, renamed by it; `None` when it keeps none.
+    /// `f` must be injective on the targets it keeps.
+    fn filter_map(&self, f: impl Fn(State) -> Option<State>) -> Option<Targets> {
+        match self {
+            Targets::One(q) => f(*q).map(Targets::One),
+            Targets::Many(v) => match v.iter().filter_map(|&q| f(q)).collect::<Vec<_>>() {
+                kept if kept.len() > 1 => Some(Targets::Many(kept)),
+                kept => kept.first().map(|&q| Targets::One(q)),
+            },
+        }
+    }
+}
+
+/// `σ(left, right) → targets`, with `σ` as an internal symbol id.
+#[derive(Clone, Debug)]
+struct Rule {
+    sym: u32,
+    left: State,
+    right: State,
+    targets: Targets,
+}
+
+/// One entry of an operand-index row: the rule `rule` uses the row's
+/// state together with `partner` under symbol `sym`.
+#[derive(Clone, Copy, Debug)]
+struct Use {
+    sym: u32,
+    partner: State,
+    rule: u32,
+}
+
+/// Per state, the rules taking it as left and as right operand, each row
+/// sorted by symbol id (ties in table order). Rows are slices of one flat
+/// array per side.
+#[derive(Debug)]
+struct OperandIndex {
+    left_start: Vec<u32>,
+    left: Vec<Use>,
+    right_start: Vec<u32>,
+    right: Vec<Use>,
+}
+
+impl OperandIndex {
+    fn build<L>(a: &Nbta<L>) -> Self {
+        // Table positions in symbol order, so that grouping them by state
+        // (a stable counting sort) leaves each row sorted.
+        let by_symbol = (a.rules.iter().enumerate()).map(|(i, r)| (r.sym as usize, i as u32));
+        let (_, order) = group(a.alphabets.internal.len(), by_symbol);
+        let rows = |side: fn(&Rule) -> (State, State)| {
+            let uses = order.iter().map(|&i| {
+                let r = &a.rules[i as usize];
+                let (own, partner) = side(r);
+                let u = Use {
+                    sym: r.sym,
+                    partner,
+                    rule: i,
+                };
+                (own.index(), u)
+            });
+            group(a.n_states, uses)
+        };
+        let (left_start, left) = rows(|r| (r.left, r.right));
+        let (right_start, right) = rows(|r| (r.right, r.left));
+        OperandIndex {
+            left_start,
+            left,
+            right_start,
+            right,
+        }
+    }
+
+    fn left(&self, q: State) -> &[Use] {
+        &self.left[self.left_start[q.index()] as usize..self.left_start[q.index() + 1] as usize]
+    }
+
+    fn right(&self, q: State) -> &[Use] {
+        &self.right[self.right_start[q.index()] as usize..self.right_start[q.index() + 1] as usize]
+    }
+}
+
+/// How a state, product pair or explored entry was first derived: at a
+/// leaf (by leaf-alphabet position) or by an internal symbol id over two
+/// earlier derivations. Decoded into witness trees by [`Nbta::decode`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Via {
+    Leaf(usize),
+    Node(u32, usize, usize),
+}
+
+/// What [`Nbta::product_walk`] reports to its sink.
+pub(crate) enum Event<'e> {
+    /// Pair `id = (a, b)` was interned, first derived by `via`.
+    Pair {
+        id: usize,
+        a: State,
+        b: State,
+        via: Via,
+    },
+    /// The product leaf rule `leaf → id` (leaf-alphabet position).
+    Leaf { leaf: usize, id: usize },
+    /// The product rule `sym(left, right) → targets`, over pair ids. Each
+    /// key is reported once.
+    Rule {
+        sym: u32,
+        left: usize,
+        right: usize,
+        targets: &'e [usize],
+    },
+}
 
 /// A nondeterministic bottom-up binary tree automaton over symbols `L`.
 #[derive(Clone, Debug)]
 pub struct Nbta<L> {
-    leaf_alphabet: Vec<L>,
-    internal_alphabet: Vec<L>,
-    pub(crate) n_states: usize,
+    alphabets: Arc<Alphabets<L>>,
+    n_states: usize,
     finals: Vec<bool>,
-    /// `leaf L → q`.
-    pub(crate) leaf_rules: HashMap<L, Vec<State>>,
-    /// `σ(q₁, q₂) → q`.
-    pub(crate) rules: HashMap<(L, State, State), Vec<State>>,
+    /// Every state is known to be derivable: set by the constructions
+    /// that only create derivable states (products, trims, and their
+    /// unions and lossless relabellings), cleared by `add_state`.
+    /// Lets [`Nbta::derivable_states`] skip its saturation.
+    derivable: bool,
+    /// `leaf → q`, by leaf-alphabet position.
+    leaf_rules: Vec<Vec<State>>,
+    /// `σ(q₁, q₂) → q`, one entry per key, in insertion order.
+    rules: Vec<Rule>,
+    /// Key → table position; built on the first keyed lookup or
+    /// [`Nbta::add_rule`], never by the bulk constructions.
+    keys: OnceLock<FxHashMap<(u32, State, State), u32>>,
+    /// Built on first use. The cell is shared with clones, so a clone
+    /// built from a cached automaton reuses its index; a mutation gives
+    /// the mutated automaton a fresh cell.
+    index: Arc<OnceLock<OperandIndex>>,
 }
 
 impl<L: Clone + Eq + Hash> Nbta<L> {
     /// An automaton with the given alphabets and no states.
     pub fn new(leaf_alphabet: Vec<L>, internal_alphabet: Vec<L>) -> Self {
+        Nbta::over(Alphabets::new(leaf_alphabet, internal_alphabet))
+    }
+
+    fn over(alphabets: Arc<Alphabets<L>>) -> Self {
         Nbta {
-            leaf_alphabet,
-            internal_alphabet,
+            leaf_rules: vec![Vec::new(); alphabets.leaf.len()],
+            alphabets,
             n_states: 0,
             finals: Vec::new(),
-            leaf_rules: HashMap::new(),
-            rules: HashMap::new(),
+            derivable: false,
+            rules: Vec::new(),
+            keys: OnceLock::new(),
+            index: Arc::default(),
+        }
+    }
+
+    /// An automaton over `alphabets` with `self`'s states and final flags.
+    fn same_states<M: Clone + Eq + Hash>(&self, alphabets: Arc<Alphabets<M>>) -> Nbta<M> {
+        Nbta {
+            n_states: self.n_states,
+            finals: self.finals.clone(),
+            derivable: self.derivable,
+            ..Nbta::over(alphabets)
         }
     }
 
@@ -48,6 +251,8 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         let q = State(self.n_states as u32);
         self.n_states += 1;
         self.finals.push(false);
+        self.derivable = false;
+        self.touch();
         q
     }
 
@@ -58,18 +263,22 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
 
     /// Number of rules (leaf + internal).
     pub fn rule_count(&self) -> usize {
-        self.leaf_rules.values().map(Vec::len).sum::<usize>()
-            + self.rules.values().map(Vec::len).sum::<usize>()
+        self.leaf_rules.iter().map(Vec::len).sum::<usize>()
+            + self
+                .rules
+                .iter()
+                .map(|r| r.targets.as_slice().len())
+                .sum::<usize>()
     }
 
     /// The leaf alphabet.
     pub fn leaf_alphabet(&self) -> &[L] {
-        &self.leaf_alphabet
+        &self.alphabets.leaf
     }
 
     /// The internal alphabet.
     pub fn internal_alphabet(&self) -> &[L] {
-        &self.internal_alphabet
+        &self.alphabets.internal
     }
 
     /// Marks `q` final.
@@ -87,32 +296,126 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         (0..self.n_states as u32).map(State)
     }
 
-    /// Adds the leaf rule `l → q`.
+    /// Adds the leaf rule `l → q`. Panics if `l` is not in the leaf
+    /// alphabet.
     pub fn add_leaf_rule(&mut self, l: L, q: State) {
-        let row = self.leaf_rules.entry(l).or_default();
+        let pos = self
+            .alphabets
+            .leaf_pos(&l)
+            .expect("leaf symbol outside the automaton's leaf alphabet");
+        let row = &mut self.leaf_rules[pos];
         if !row.contains(&q) {
             row.push(q);
         }
     }
 
-    /// Adds the rule `σ(q₁, q₂) → q`.
+    /// Adds the rule `σ(q₁, q₂) → q`. Panics if `σ` is not in the internal
+    /// alphabet.
     pub fn add_rule(&mut self, sigma: L, q1: State, q2: State, q: State) {
-        let row = self.rules.entry((sigma, q1, q2)).or_default();
-        if !row.contains(&q) {
-            row.push(q);
+        let sym = self
+            .alphabets
+            .id(&sigma)
+            .expect("internal symbol outside the automaton's internal alphabet");
+        self.insert_rule(sym, q1, q2, q);
+    }
+
+    fn insert_rule(&mut self, sym: u32, q1: State, q2: State, q: State) {
+        let rules = &self.rules;
+        self.keys.get_or_init(|| key_table(rules));
+        let keys = self.keys.get_mut().expect("initialized above");
+        match keys.entry((sym, q1, q2)) {
+            Entry::Occupied(e) => self.rules[*e.get() as usize].targets.insert(q),
+            Entry::Vacant(e) => {
+                e.insert(self.rules.len() as u32);
+                self.rules.push(Rule {
+                    sym,
+                    left: q1,
+                    right: q2,
+                    targets: Targets::One(q),
+                });
+            }
         }
+        self.touch();
     }
 
     /// The states derivable at an `l`-leaf.
     pub fn leaf_states(&self, l: &L) -> &[State] {
-        self.leaf_rules.get(l).map_or(&[], Vec::as_slice)
+        self.alphabets
+            .leaf_pos(l)
+            .map_or(&[], |pos| &self.leaf_rules[pos])
     }
 
     /// The states derivable by `σ(q₁, q₂)`.
     pub fn rule_states(&self, sigma: &L, q1: State, q2: State) -> &[State] {
-        self.rules
-            .get(&(sigma.clone(), q1, q2))
-            .map_or(&[], Vec::as_slice)
+        let Some(sym) = self.alphabets.id(sigma) else {
+            return &[];
+        };
+        self.keys
+            .get_or_init(|| key_table(&self.rules))
+            .get(&(sym, q1, q2))
+            .map_or(&[], |&i| self.rules[i as usize].targets.as_slice())
+    }
+
+    /// Every internal rule `σ(q₁, q₂) → targets`, one per key, in insertion
+    /// order.
+    pub fn rules(&self) -> impl Iterator<Item = (&L, State, State, &[State])> {
+        self.rules.iter().map(|r| {
+            (
+                &self.alphabets.internal[r.sym as usize],
+                r.left,
+                r.right,
+                r.targets.as_slice(),
+            )
+        })
+    }
+
+    /// The rules taking `q` as left (or right) operand, as `(symbol id,
+    /// partner, targets)`, in symbol order.
+    pub(crate) fn operand_rules(
+        &self,
+        q: State,
+        left: bool,
+    ) -> impl Iterator<Item = (u32, State, &[State])> {
+        let idx = self.index();
+        let row = if left { idx.left(q) } else { idx.right(q) };
+        row.iter().map(|u| {
+            let targets = self.rules[u.rule as usize].targets.as_slice();
+            (u.sym, u.partner, targets)
+        })
+    }
+
+    /// The rules as `(q₁, q₂, targets)` grouped by symbol id, each group in
+    /// table order.
+    pub(crate) fn rules_by_symbol(&self) -> Vec<Vec<(State, State, &[State])>> {
+        let mut by_symbol = vec![Vec::new(); self.alphabets.internal.len()];
+        for r in &self.rules {
+            by_symbol[r.sym as usize].push((r.left, r.right, r.targets.as_slice()));
+        }
+        by_symbol
+    }
+
+    fn index(&self) -> &OperandIndex {
+        self.index.get_or_init(|| OperandIndex::build(self))
+    }
+
+    /// Detaches `self` from a built (and possibly shared) index before a
+    /// mutation.
+    fn touch(&mut self) {
+        if self.index.get().is_some() {
+            self.index = Arc::default();
+        }
+    }
+
+    /// The tree derived by `via(root)`, following `via` down to the leaves.
+    pub(crate) fn decode(&self, root: usize, via: &impl Fn(usize) -> Via) -> RankedTree<L> {
+        match via(root) {
+            Via::Leaf(pos) => RankedTree::Leaf(self.alphabets.leaf[pos].clone()),
+            Via::Node(sym, a, b) => RankedTree::node(
+                self.alphabets.internal[sym as usize].clone(),
+                self.decode(a, via),
+                self.decode(b, via),
+            ),
+        }
     }
 
     /// Bottom-up evaluation: the set of states derivable at the root of `t`.
@@ -144,38 +447,63 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         self.eval(t).iter().any(|&q| self.is_final(q))
     }
 
-    /// States derivable by *some* tree.
+    /// Worklist saturation from the leaves: each derivable state is popped
+    /// once, and a rule fires once, when the later of its operands is
+    /// popped. `first` sees each derivable state with its first derivation
+    /// (`Via::Node` over operand states). Returns the derivable flags.
     ///
-    /// Charges one fuel unit per rule scanned per saturation round.
-    pub fn derivable_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
+    /// Charges one fuel unit per operand-index entry visited.
+    fn saturate(
+        &self,
+        budget: &BudgetHandle,
+        mut first: impl FnMut(State, Via),
+    ) -> Result<Vec<bool>, BudgetExceeded> {
+        let idx = self.index();
         let mut derivable = vec![false; self.n_states];
+        let mut popped = vec![false; self.n_states];
         let mut queue: VecDeque<State> = VecDeque::new();
-        for states in self.leaf_rules.values() {
+        for (pos, states) in self.leaf_rules.iter().enumerate() {
             for &q in states {
                 if !derivable[q.index()] {
                     derivable[q.index()] = true;
+                    first(q, Via::Leaf(pos));
                     queue.push_back(q);
                 }
             }
         }
-        // Saturate: a rule fires when both operands are derivable.
-        loop {
-            budget.charge(self.rules.len() as u64)?;
-            let mut changed = false;
-            for ((_, q1, q2), outs) in &self.rules {
-                if derivable[q1.index()] && derivable[q2.index()] {
-                    for &q in outs {
-                        if !derivable[q.index()] {
-                            derivable[q.index()] = true;
-                            changed = true;
-                        }
+        while let Some(q) = queue.pop_front() {
+            popped[q.index()] = true;
+            let (left, right) = (idx.left(q), idx.right(q));
+            budget.charge((left.len() + right.len()) as u64)?;
+            // A self-pair `σ(q, q)` sits in both rows; it fires from the left.
+            let ready = left.iter().filter(|u| popped[u.partner.index()]).chain(
+                right
+                    .iter()
+                    .filter(|u| u.partner != q && popped[u.partner.index()]),
+            );
+            for u in ready {
+                let r = &self.rules[u.rule as usize];
+                for &t in r.targets.as_slice() {
+                    if !derivable[t.index()] {
+                        derivable[t.index()] = true;
+                        first(t, Via::Node(r.sym, r.left.index(), r.right.index()));
+                        queue.push_back(t);
                     }
                 }
             }
-            if !changed {
-                return Ok(derivable);
-            }
         }
+        Ok(derivable)
+    }
+
+    /// States derivable by *some* tree.
+    ///
+    /// Charges one fuel unit per rule visit of the worklist saturation —
+    /// nothing when every state is derivable by construction.
+    pub fn derivable_states(&self, budget: &BudgetHandle) -> Result<Vec<bool>, BudgetExceeded> {
+        if self.derivable {
+            return Ok(vec![true; self.n_states]);
+        }
+        self.saturate(budget, |_, _| {})
     }
 
     /// Whether `L(B) = ∅`.
@@ -187,55 +515,177 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     }
 
     /// A witness tree, if the language is non-empty (small, not necessarily
-    /// minimal).
+    /// minimal): the first derivation of the lowest-numbered derivable
+    /// final state.
     ///
-    /// Charges one fuel unit per rule scanned per saturation round.
+    /// Charges one fuel unit per rule visit of the worklist saturation.
     pub fn witness(&self, budget: &BudgetHandle) -> Result<Option<RankedTree<L>>, BudgetExceeded> {
-        #[derive(Clone)]
-        enum Recipe<L> {
-            Leaf(L),
-            Node(L, State, State),
+        let mut recipe: Vec<Option<Via>> = vec![None; self.n_states];
+        let derivable = self.saturate(budget, |q, via| recipe[q.index()] = Some(via))?;
+        Ok(self
+            .states()
+            .find(|&q| self.is_final(q) && derivable[q.index()])
+            .map(|q| {
+                self.decode(q.index(), &|i| {
+                    recipe[i].expect("derivable states have a recipe")
+                })
+            }))
+    }
+
+    /// `other` with its rules renumbered onto `self`'s internal symbol ids:
+    /// a borrow when the alphabets already agree. Rules over symbols
+    /// `self` lacks are dropped — no product can use them.
+    pub(crate) fn aligned<'o>(&self, other: &'o Nbta<L>) -> Cow<'o, Nbta<L>> {
+        if Arc::ptr_eq(&self.alphabets, &other.alphabets)
+            || self.alphabets.internal == other.alphabets.internal
+        {
+            Cow::Borrowed(other)
+        } else {
+            let ids: Vec<Option<u32>> = (other.alphabets.internal.iter())
+                .map(|l| self.alphabets.id(l))
+                .collect();
+            let mut out = other.same_states(self.alphabets.clone());
+            out.derivable = false;
+            for (pos, l) in self.alphabets.leaf.iter().enumerate() {
+                out.leaf_rules[pos] = other.leaf_states(l).to_vec();
+            }
+            out.rules = (other.rules.iter())
+                .filter_map(|r| {
+                    Some(Rule {
+                        sym: ids[r.sym as usize]?,
+                        ..r.clone()
+                    })
+                })
+                .collect();
+            Cow::Owned(out)
         }
-        let mut recipe: Vec<Option<Recipe<L>>> = vec![None; self.n_states];
-        for (l, states) in &self.leaf_rules {
-            for &q in states {
-                if recipe[q.index()].is_none() {
-                    recipe[q.index()] = Some(Recipe::Leaf(l.clone()));
+    }
+
+    /// Explores the derivable pairs of `self × other` bottom-up, reporting
+    /// each new pair, each product leaf rule and each product rule key to
+    /// `sink` (pair ids count up from 0 in discovery order). Pairs are
+    /// popped in id order; a popped pair is merge-joined, symbol by symbol,
+    /// with every pair popped before it (and itself) through the two
+    /// operands' index rows, so each product rule is built exactly once.
+    /// Stops as soon as `sink` returns `true`, and then returns `Ok(true)`.
+    ///
+    /// Charges one fuel unit per popped pair and per product rule target.
+    pub(crate) fn product_walk(
+        &self,
+        other: &Nbta<L>,
+        budget: &BudgetHandle,
+        mut sink: impl FnMut(Event<'_>) -> bool,
+    ) -> Result<bool, BudgetExceeded> {
+        let other = self.aligned(other);
+        let (ia, ib) = (self.index(), other.index());
+        let mut pairs: Vec<(State, State)> = Vec::new();
+        let mut ids: FxHashMap<u64, usize> = FxHashMap::default();
+        // Interns `(a, b)`: its id, and whether it is new.
+        fn intern(
+            pairs: &mut Vec<(State, State)>,
+            ids: &mut FxHashMap<u64, usize>,
+            a: State,
+            b: State,
+        ) -> (usize, bool) {
+            match ids.entry(pair_key(a, b)) {
+                Entry::Occupied(e) => (*e.get(), false),
+                Entry::Vacant(e) => {
+                    pairs.push((a, b));
+                    (*e.insert(pairs.len() - 1), true)
                 }
             }
         }
-        loop {
-            budget.charge(self.rules.len() as u64)?;
-            let mut changed = false;
-            for ((l, q1, q2), outs) in &self.rules {
-                if recipe[q1.index()].is_some() && recipe[q2.index()].is_some() {
-                    for &q in outs {
-                        if recipe[q.index()].is_none() {
-                            recipe[q.index()] = Some(Recipe::Node(l.clone(), *q1, *q2));
-                            changed = true;
-                        }
+        for (pos, l) in self.alphabets.leaf.iter().enumerate() {
+            for &a in &self.leaf_rules[pos] {
+                for &b in other.leaf_states(l) {
+                    let (id, fresh) = intern(&mut pairs, &mut ids, a, b);
+                    let via = Via::Leaf(pos);
+                    if fresh && sink(Event::Pair { id, a, b, via }) {
+                        return Ok(true);
+                    }
+                    if sink(Event::Leaf { leaf: pos, id }) {
+                        return Ok(true);
                     }
                 }
             }
-            if !changed {
-                break;
-            }
         }
-        let Some(target) = self
-            .states()
-            .find(|&q| self.is_final(q) && recipe[q.index()].is_some())
-        else {
-            return Ok(None);
-        };
-        fn build<L: Clone>(recipe: &[Option<Recipe<L>>], q: State) -> RankedTree<L> {
-            match recipe[q.index()].as_ref().expect("derivable") {
-                Recipe::Leaf(l) => RankedTree::Leaf(l.clone()),
-                Recipe::Node(l, a, b) => {
-                    RankedTree::node(l.clone(), build(recipe, *a), build(recipe, *b))
+        let mut targets: Vec<usize> = Vec::new();
+        let mut cur = 0;
+        while cur < pairs.len() {
+            budget.charge(1)?;
+            let (a, b) = pairs[cur];
+            for as_left in [true, false] {
+                let (ra, rb) = if as_left {
+                    (ia.left(a), ib.left(b))
+                } else {
+                    (ia.right(a), ib.right(b))
+                };
+                let (mut i, mut j) = (0, 0);
+                while i < ra.len() && j < rb.len() {
+                    let sym = ra[i].sym;
+                    if sym != rb[j].sym {
+                        if sym < rb[j].sym {
+                            i += 1;
+                        } else {
+                            j += 1;
+                        }
+                        continue;
+                    }
+                    let i_end = i + ra[i..].iter().take_while(|u| u.sym == sym).count();
+                    let j_end = j + rb[j..].iter().take_while(|u| u.sym == sym).count();
+                    for ua in &ra[i..i_end] {
+                        for ub in &rb[j..j_end] {
+                            // The partner pair must be popped already; the
+                            // self-pair joins once, as left operand.
+                            let Some(&partner) = ids.get(&pair_key(ua.partner, ub.partner)) else {
+                                continue;
+                            };
+                            if partner > cur || (partner == cur && !as_left) {
+                                continue;
+                            }
+                            let (left, right) = if as_left {
+                                (cur, partner)
+                            } else {
+                                (partner, cur)
+                            };
+                            let ta = self.rules[ua.rule as usize].targets.as_slice();
+                            let tb = other.rules[ub.rule as usize].targets.as_slice();
+                            budget.charge((ta.len() * tb.len()) as u64)?;
+                            targets.clear();
+                            for &oa in ta {
+                                for &ob in tb {
+                                    let (id, fresh) = intern(&mut pairs, &mut ids, oa, ob);
+                                    let via = Via::Node(sym, left, right);
+                                    if fresh
+                                        && sink(Event::Pair {
+                                            id,
+                                            a: oa,
+                                            b: ob,
+                                            via,
+                                        })
+                                    {
+                                        return Ok(true);
+                                    }
+                                    targets.push(id);
+                                }
+                            }
+                            let rule = Event::Rule {
+                                sym,
+                                left,
+                                right,
+                                targets: &targets,
+                            };
+                            if sink(rule) {
+                                return Ok(true);
+                            }
+                        }
+                    }
+                    (i, j) = (i_end, j_end);
                 }
             }
+            cur += 1;
         }
-        Ok(Some(build(&recipe, target)))
+        Ok(false)
     }
 
     /// Product automaton accepting `L(self) ∩ L(other)` (alphabets must
@@ -252,198 +702,163 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
         other: &Nbta<L>,
         budget: &BudgetHandle,
     ) -> Result<Nbta<L>, BudgetExceeded> {
-        let mut out = Nbta::new(self.leaf_alphabet.clone(), self.internal_alphabet.clone());
-        let mut ids: HashMap<(State, State), State> = HashMap::new();
-        let mut queue: VecDeque<(State, State)> = VecDeque::new();
-        let intern = |a: State,
-                      b: State,
-                      out: &mut Nbta<L>,
-                      ids: &mut HashMap<(State, State), State>,
-                      queue: &mut VecDeque<(State, State)>|
-         -> State {
-            *ids.entry((a, b)).or_insert_with(|| {
-                let q = out.add_state();
-                out.set_final(q, self.is_final(a) && other.is_final(b));
-                queue.push_back((a, b));
-                q
-            })
-        };
-        // Leaf rules seed the worklist.
-        for l in &self.leaf_alphabet {
-            let bs = other.leaf_states(l).to_vec();
-            for &a in self.leaf_states(l) {
-                for &b in &bs {
-                    let q = intern(a, b, &mut out, &mut ids, &mut queue);
-                    out.add_leaf_rule(l.clone(), q);
+        let mut out = Nbta::over(self.alphabets.clone());
+        // Every pair is interned by a leaf or a rule over earlier pairs.
+        out.derivable = true;
+        self.product_walk(other, budget, |event| {
+            match event {
+                Event::Pair { a, b, .. } => {
+                    out.n_states += 1;
+                    out.finals.push(self.is_final(a) && other.is_final(b));
                 }
+                Event::Leaf { leaf, id } => out.leaf_rules[leaf].push(State(id as u32)),
+                Event::Rule {
+                    sym,
+                    left,
+                    right,
+                    targets,
+                } => out.rules.push(Rule {
+                    sym,
+                    left: State(left as u32),
+                    right: State(right as u32),
+                    targets: match targets {
+                        &[t] => Targets::One(State(t as u32)),
+                        _ => Targets::Many(targets.iter().map(|&t| State(t as u32)).collect()),
+                    },
+                }),
             }
-        }
-        // Rule indexes by (symbol, operand).
-        type Idx<'x, L> = HashMap<(&'x L, State), Vec<(State, &'x Vec<State>)>>;
-        let mut idx1_first: Idx<'_, L> = HashMap::new();
-        let mut idx1_second: Idx<'_, L> = HashMap::new();
-        for ((l, a1, a2), outs) in &self.rules {
-            idx1_first.entry((l, *a1)).or_default().push((*a2, outs));
-            idx1_second.entry((l, *a2)).or_default().push((*a1, outs));
-        }
-        let mut idx2_first: Idx<'_, L> = HashMap::new();
-        let mut idx2_second: Idx<'_, L> = HashMap::new();
-        for ((l, b1, b2), outs) in &other.rules {
-            idx2_first.entry((l, *b1)).or_default().push((*b2, outs));
-            idx2_second.entry((l, *b2)).or_default().push((*b1, outs));
-        }
-        let symbols: Vec<&L> = self.internal_alphabet.iter().collect();
-        while let Some((a, b)) = queue.pop_front() {
-            budget.charge(1)?;
-            let left_id = ids[&(a, b)];
-            // The popped pair as LEFT operand: partner right pairs must
-            // already be discovered.
-            for &l in &symbols {
-                let (Some(r1), Some(r2)) = (idx1_first.get(&(l, a)), idx2_first.get(&(l, b)))
-                else {
-                    continue;
-                };
-                // Clone partner lists to end borrows before interning.
-                let joins: Vec<(State, &Vec<State>, State, &Vec<State>)> = r1
-                    .iter()
-                    .flat_map(|&(a2, o1)| r2.iter().map(move |&(b2, o2)| (a2, o1, b2, o2)))
-                    .collect();
-                for (a2, outs1, b2, outs2) in joins {
-                    if let Some(&right_id) = ids.get(&(a2, b2)) {
-                        for &oa in outs1 {
-                            for &ob in outs2 {
-                                budget.charge(1)?;
-                                let oq = intern(oa, ob, &mut out, &mut ids, &mut queue);
-                                out.add_rule(l.clone(), left_id, right_id, oq);
-                            }
-                        }
-                    }
-                }
-            }
-            // The popped pair as RIGHT operand.
-            for &l in &symbols {
-                let (Some(r1), Some(r2)) = (idx1_second.get(&(l, a)), idx2_second.get(&(l, b)))
-                else {
-                    continue;
-                };
-                let joins: Vec<(State, &Vec<State>, State, &Vec<State>)> = r1
-                    .iter()
-                    .flat_map(|&(a1, o1)| r2.iter().map(move |&(b1, o2)| (a1, o1, b1, o2)))
-                    .collect();
-                for (a1, outs1, b1, outs2) in joins {
-                    if let Some(&left2_id) = ids.get(&(a1, b1)) {
-                        for &oa in outs1 {
-                            for &ob in outs2 {
-                                budget.charge(1)?;
-                                let oq = intern(oa, ob, &mut out, &mut ids, &mut queue);
-                                out.add_rule(l.clone(), left2_id, ids[&(a, b)], oq);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+            false
+        })?;
         Ok(out)
     }
 
-    /// Disjoint union accepting `L(self) ∪ L(other)`.
+    /// Disjoint union accepting `L(self) ∪ L(other)`. The result's
+    /// alphabets are `self`'s, followed by any symbols only `other` has.
     pub fn union(&self, other: &Nbta<L>) -> Nbta<L> {
-        let mut out = self.clone();
-        let offset = out.n_states as u32;
-        for _ in 0..other.n_states {
-            out.add_state();
+        let extend = |own: &[L], more: &[L]| -> Vec<L> {
+            let mut all = own.to_vec();
+            all.extend(more.iter().filter(|l| !own.contains(l)).cloned());
+            all
+        };
+        let leaf = extend(&self.alphabets.leaf, &other.alphabets.leaf);
+        let internal = extend(&self.alphabets.internal, &other.alphabets.internal);
+        let alphabets = if (leaf.len(), internal.len())
+            == (self.alphabets.leaf.len(), self.alphabets.internal.len())
+        {
+            self.alphabets.clone()
+        } else {
+            Alphabets::new(leaf, internal)
+        };
+        let mut out = self.same_states(alphabets);
+        out.leaf_rules[..self.leaf_rules.len()].clone_from_slice(&self.leaf_rules);
+        out.rules = self.rules.clone();
+        let offset = self.n_states as u32;
+        let shift = |q: State| State(q.0 + offset);
+        out.n_states += other.n_states;
+        out.finals.extend_from_slice(&other.finals);
+        out.derivable = self.derivable && other.derivable;
+        for (l, states) in other.alphabets.leaf.iter().zip(&other.leaf_rules) {
+            let pos = out.alphabets.leaf_pos(l).expect("merged leaf alphabet");
+            out.leaf_rules[pos].extend(states.iter().map(|&q| shift(q)));
         }
-        for q in other.states() {
-            out.set_final(State(q.0 + offset), other.is_final(q));
-        }
-        for (l, states) in &other.leaf_rules {
-            for &q in states {
-                out.add_leaf_rule(l.clone(), State(q.0 + offset));
-            }
-        }
-        for ((l, q1, q2), outs) in &other.rules {
-            for &q in outs {
-                out.add_rule(
-                    l.clone(),
-                    State(q1.0 + offset),
-                    State(q2.0 + offset),
-                    State(q.0 + offset),
-                );
-            }
+        for r in &other.rules {
+            let l = &other.alphabets.internal[r.sym as usize];
+            out.rules.push(Rule {
+                sym: out.alphabets.id(l).expect("merged internal alphabet"),
+                left: shift(r.left),
+                right: shift(r.right),
+                targets: r.targets.filter_map(|q| Some(shift(q))).expect("kept"),
+            });
         }
         out
     }
 
     /// Relabels symbols through `f` (used for MSO projection `∃X`: dropping
     /// a variable bit). The result is nondeterministic even if `self` was
-    /// obtained from a DBTA.
+    /// obtained from a DBTA. Its alphabets are the images of `self`'s.
     pub fn map_symbols<M: Clone + Eq + Hash>(&self, f: impl Fn(&L) -> M) -> Nbta<M> {
-        let mut leaf_alpha = Vec::new();
-        let mut seen = HashSet::new();
-        for l in &self.leaf_alphabet {
-            let m = f(l);
-            if seen.insert(m.clone()) {
-                leaf_alpha.push(m);
+        let images = |alphabet: &[L]| -> Vec<M> {
+            let mut seen = FxHashSet::default();
+            alphabet
+                .iter()
+                .map(&f)
+                .filter(|m| seen.insert(m.clone()))
+                .collect()
+        };
+        let (leaf, internal) = (
+            images(&self.alphabets.leaf),
+            images(&self.alphabets.internal),
+        );
+        self.relabel(leaf, internal, &f)
+    }
+
+    /// Relabels symbols through `f` onto the given alphabets, in one pass
+    /// over the rule table; rules whose keys collide merge their targets.
+    /// Rules whose image falls outside the new alphabets are dropped.
+    pub fn relabel<M: Clone + Eq + Hash>(
+        &self,
+        leaf_alphabet: Vec<M>,
+        internal_alphabet: Vec<M>,
+        f: impl Fn(&L) -> M,
+    ) -> Nbta<M> {
+        let mut out = self.same_states(Alphabets::new(leaf_alphabet, internal_alphabet));
+        let mut kept_all = true;
+        for (l, states) in self.alphabets.leaf.iter().zip(&self.leaf_rules) {
+            match out.alphabets.leaf_pos(&f(l)) {
+                Some(pos) => {
+                    for &q in states {
+                        if !out.leaf_rules[pos].contains(&q) {
+                            out.leaf_rules[pos].push(q);
+                        }
+                    }
+                }
+                None => kept_all &= states.is_empty(),
             }
         }
-        let mut internal_alpha = Vec::new();
-        let mut seen = HashSet::new();
-        for l in &self.internal_alphabet {
-            let m = f(l);
-            if seen.insert(m.clone()) {
-                internal_alpha.push(m);
+        let ids: Vec<Option<u32>> = (self.alphabets.internal.iter())
+            .map(|l| out.alphabets.id(&f(l)))
+            .collect();
+        for r in &self.rules {
+            match ids[r.sym as usize] {
+                Some(sym) => {
+                    for &q in r.targets.as_slice() {
+                        out.insert_rule(sym, r.left, r.right, q);
+                    }
+                }
+                None => kept_all = false,
             }
         }
-        let mut out = Nbta::new(leaf_alpha, internal_alpha);
-        for _ in 0..self.n_states {
-            out.add_state();
-        }
-        for q in self.states() {
-            out.set_final(q, self.is_final(q));
-        }
-        for (l, states) in &self.leaf_rules {
-            for &q in states {
-                out.add_leaf_rule(f(l), q);
-            }
-        }
-        for ((l, q1, q2), outs) in &self.rules {
-            for &q in outs {
-                out.add_rule(f(l), *q1, *q2, q);
-            }
-        }
+        out.derivable &= kept_all;
         out
     }
 
     /// Inverse relabelling (MSO cylindrification): builds an automaton over
     /// the new alphabets that treats each symbol `m` like `self` treats
-    /// `g(m)`.
+    /// `g(m)`. One pass over the rule table.
     pub fn inverse_map<M: Clone + Eq + Hash>(
         &self,
         leaf_alphabet: Vec<M>,
         internal_alphabet: Vec<M>,
         g: impl Fn(&M) -> L,
     ) -> Nbta<M> {
-        let mut out = Nbta::new(leaf_alphabet.clone(), internal_alphabet.clone());
-        for _ in 0..self.n_states {
-            out.add_state();
+        let mut out = self.same_states(Alphabets::new(leaf_alphabet, internal_alphabet));
+        out.derivable = false;
+        for pos in 0..out.alphabets.leaf.len() {
+            out.leaf_rules[pos] = self.leaf_states(&g(&out.alphabets.leaf[pos])).to_vec();
         }
-        for q in self.states() {
-            out.set_final(q, self.is_final(q));
-        }
-        for m in &leaf_alphabet {
-            let l = g(m);
-            for &q in self.leaf_states(&l) {
-                out.add_leaf_rule(m.clone(), q);
+        // Each source symbol id → the (first occurrences of) new symbols
+        // that read as it.
+        let mut preimages: Vec<Vec<u32>> = vec![Vec::new(); self.alphabets.internal.len()];
+        for (i, m) in out.alphabets.internal.iter().enumerate() {
+            if out.alphabets.id(m) == Some(i as u32) {
+                if let Some(s) = self.alphabets.id(&g(m)) {
+                    preimages[s as usize].push(i as u32);
+                }
             }
         }
-        for m in &internal_alphabet {
-            let l = g(m);
-            for ((rl, q1, q2), outs) in &self.rules {
-                if *rl == l {
-                    for &q in outs {
-                        out.add_rule(m.clone(), *q1, *q2, q);
-                    }
-                }
+        for r in &self.rules {
+            for &sym in &preimages[r.sym as usize] {
+                out.rules.push(Rule { sym, ..r.clone() });
             }
         }
         out
@@ -453,220 +868,214 @@ impl<L: Clone + Eq + Hash> Nbta<L> {
     /// accepting run. Language-preserving; crucial for keeping the MSO
     /// pipeline small.
     ///
-    /// Charges one fuel unit per rule scanned per saturation round plus one per
-    /// surviving rule rebuilt.
+    /// Charges one fuel unit per rule visit of the two worklist passes
+    /// (derivability, then co-derivability) plus one per surviving rule
+    /// rebuilt.
     pub fn trim(&self, budget: &BudgetHandle) -> Result<Nbta<L>, BudgetExceeded> {
         let derivable = self.derivable_states(budget)?;
-        // Co-derivability: q useful if final, or appears as operand of a rule
-        // with useful output and derivable sibling.
+        // Co-derivability: q is useful if final, or an operand of a rule
+        // with a useful target and a derivable sibling. Worklist over the
+        // table positions of the rules producing each state.
+        let by_target = (self.rules.iter().enumerate())
+            .flat_map(|(i, r)| (r.targets.as_slice().iter()).map(move |t| (t.index(), i as u32)));
+        let (start, producing) = group(self.n_states, by_target);
         let mut useful: Vec<bool> = self
             .states()
             .map(|q| self.is_final(q) && derivable[q.index()])
             .collect();
-        loop {
-            budget.charge(self.rules.len() as u64)?;
-            let mut changed = false;
-            for ((_, q1, q2), outs) in &self.rules {
-                if !derivable[q1.index()] || !derivable[q2.index()] {
-                    continue;
-                }
-                if outs.iter().any(|q| useful[q.index()]) {
-                    if !useful[q1.index()] {
-                        useful[q1.index()] = true;
-                        changed = true;
-                    }
-                    if !useful[q2.index()] {
-                        useful[q2.index()] = true;
-                        changed = true;
+        let mut queue: VecDeque<State> = self.states().filter(|q| useful[q.index()]).collect();
+        while let Some(t) = queue.pop_front() {
+            let row = &producing[start[t.index()] as usize..start[t.index() + 1] as usize];
+            budget.charge(row.len() as u64)?;
+            for &i in row {
+                let r = &self.rules[i as usize];
+                if derivable[r.left.index()] && derivable[r.right.index()] {
+                    for q in [r.left, r.right] {
+                        if !useful[q.index()] {
+                            useful[q.index()] = true;
+                            queue.push_back(q);
+                        }
                     }
                 }
             }
-            if !changed {
-                break;
+        }
+        let mut remap: Vec<Option<State>> = vec![None; self.n_states];
+        let mut out = Nbta::over(self.alphabets.clone());
+        for q in self.states() {
+            if derivable[q.index()] && useful[q.index()] {
+                let nq = out.add_state();
+                out.set_final(nq, self.is_final(q));
+                remap[q.index()] = Some(nq);
             }
         }
-        let keep: Vec<State> = self
-            .states()
-            .filter(|q| derivable[q.index()] && useful[q.index()])
-            .collect();
-        let remap: HashMap<State, State> = keep
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| (q, State(i as u32)))
-            .collect();
-        let mut out = Nbta::new(self.leaf_alphabet.clone(), self.internal_alphabet.clone());
-        for _ in 0..keep.len() {
-            out.add_state();
+        for (pos, states) in self.leaf_rules.iter().enumerate() {
+            out.leaf_rules[pos] = states.iter().filter_map(|q| remap[q.index()]).collect();
         }
-        for &q in &keep {
-            out.set_final(remap[&q], self.is_final(q));
-        }
-        for (l, states) in &self.leaf_rules {
-            for q in states {
-                if let Some(&nq) = remap.get(q) {
-                    out.add_leaf_rule(l.clone(), nq);
-                }
-            }
-        }
-        for ((l, q1, q2), outs) in &self.rules {
-            let (Some(&n1), Some(&n2)) = (remap.get(q1), remap.get(q2)) else {
+        for r in &self.rules {
+            let (Some(left), Some(right)) = (remap[r.left.index()], remap[r.right.index()]) else {
                 continue;
             };
-            for q in outs {
-                if let Some(&nq) = remap.get(q) {
-                    budget.charge(1)?;
-                    out.add_rule(l.clone(), n1, n2, nq);
-                }
+            if let Some(targets) = r.targets.filter_map(|q| remap[q.index()]) {
+                budget.charge(targets.as_slice().len() as u64)?;
+                out.rules.push(Rule {
+                    sym: r.sym,
+                    left,
+                    right,
+                    targets,
+                });
             }
         }
+        out.derivable = true;
         Ok(out)
     }
 
     /// Subset construction: a complete deterministic automaton over the same
     /// alphabets.
     ///
-    /// Charges one fuel unit per transition of the subset automaton — the
-    /// construction is the workspace's one truly exponential site, so this is
-    /// where a budget matters most.
+    /// Charges one fuel unit per transition of the subset automaton, plus
+    /// one per operand-index entry read to compute it — the construction is
+    /// the workspace's one truly exponential site, so this is where a budget
+    /// matters most, and the charge follows the work it does.
     pub fn determinize(&self, budget: &BudgetHandle) -> Result<Dbta<L>, BudgetExceeded> {
-        // Group rules by symbol for the inner loop, and use bitsets for
-        // class membership.
+        // Classes are state sets held as bitsets. The successors of a pair
+        // of classes under every symbol come out of one pass over the
+        // left class's operand-index rows.
+        let n_syms = self.alphabets.internal.len();
+        let idx = self.index();
         let words = self.n_states.div_ceil(64).max(1);
-        let mut by_symbol: RulesBySymbol<L> = HashMap::new();
-        for ((l, q1, q2), outs) in &self.rules {
-            by_symbol.entry(l).or_default().push((*q1, *q2, outs));
+        let mut live = vec![false; n_syms];
+        for r in &self.rules {
+            live[r.sym as usize] = true;
         }
-        let to_bits = |set: &[State]| -> Vec<u64> {
-            let mut bits = vec![0u64; words];
-            for q in set {
-                bits[q.index() / 64] |= 1 << (q.index() % 64);
-            }
-            bits
-        };
-        let has = |bits: &[u64], q: State| bits[q.index() / 64] & (1 << (q.index() % 64)) != 0;
-
-        let mut class_ids: HashMap<Vec<State>, u32> = HashMap::new();
-        let mut classes: Vec<Vec<State>> = Vec::new();
-        let mut class_bits: Vec<Vec<u64>> = Vec::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        let intern = |set: Vec<State>,
-                      classes: &mut Vec<Vec<State>>,
-                      class_bits: &mut Vec<Vec<u64>>,
-                      class_ids: &mut HashMap<Vec<State>, u32>,
-                      queue: &mut VecDeque<u32>|
-         -> u32 {
-            if let Some(&id) = class_ids.get(&set) {
+        // Symbols with no rules map every pair to ∅.
+        let live: Vec<usize> = (0..n_syms).filter(|&s| live[s]).collect();
+        let mut ids: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
+        let mut classes: Vec<Vec<u64>> = Vec::new();
+        let mut intern = |bits: &[u64], classes: &mut Vec<Vec<u64>>| -> u32 {
+            if let Some(&id) = ids.get(bits) {
                 return id;
             }
             let id = classes.len() as u32;
-            class_bits.push(to_bits(&set));
-            classes.push(set.clone());
-            class_ids.insert(set, id);
-            queue.push_back(id);
+            classes.push(bits.to_vec());
+            ids.insert(bits.to_vec(), id);
             id
         };
-        let mut leaf_map: HashMap<L, u32> = HashMap::new();
-        for l in &self.leaf_alphabet {
-            let mut set = self.leaf_states(l).to_vec();
-            set.sort_unstable();
-            set.dedup();
-            let id = intern(
-                set,
-                &mut classes,
-                &mut class_bits,
-                &mut class_ids,
-                &mut queue,
-            );
-            leaf_map.insert(l.clone(), id);
+        let mut leaf_map = Vec::with_capacity(self.leaf_rules.len());
+        for states in &self.leaf_rules {
+            let mut bits = vec![0u64; words];
+            for q in states {
+                bit_set(&mut bits, q.index());
+            }
+            leaf_map.push(intern(&bits, &mut classes));
         }
         // Make sure the empty class exists (needed as a sink).
-        intern(
-            Vec::new(),
-            &mut classes,
-            &mut class_bits,
-            &mut class_ids,
-            &mut queue,
-        );
+        let empty = intern(&vec![0u64; words], &mut classes);
 
-        // Worklist: when a class is popped, pair it with every already
-        // paired class (and itself); each ordered pair is processed once.
-        let mut trans: HashMap<(L, u32, u32), u32> = HashMap::new();
-        let mut paired: Vec<u32> = Vec::new();
-        let mut out_bits = vec![0u64; words];
-        while let Some(c) = queue.pop_front() {
-            paired.push(c);
-            // All ordered pairs involving `c` and any previously paired class.
-            let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(2 * paired.len());
-            for &d in &paired {
-                pairs.push((c, d));
-                if d != c {
-                    pairs.push((d, c));
-                }
-            }
-            for (c1, c2) in pairs {
-                for (l, rules) in &by_symbol {
-                    budget.charge(1)?;
-                    out_bits.iter_mut().for_each(|w| *w = 0);
-                    let b1 = &class_bits[c1 as usize];
-                    let b2 = &class_bits[c2 as usize];
-                    let mut any = false;
-                    for (q1, q2, outs) in rules {
-                        if has(b1, *q1) && has(b2, *q2) {
-                            for q in outs.iter() {
-                                out_bits[q.index() / 64] |= 1 << (q.index() % 64);
+        // Classes are paired in id order: popping class `c` pairs it with
+        // every class before it and with itself, so each ordered pair is
+        // processed once.
+        let mut trans: Vec<(usize, u32, u32, u32)> = Vec::new();
+        let mut succ = vec![0u64; n_syms * words];
+        let mut c = 0;
+        while c < classes.len() {
+            for d in 0..=c {
+                let pairs = if d == c {
+                    vec![(c, c)]
+                } else {
+                    vec![(c, d), (d, c)]
+                };
+                for (c1, c2) in pairs {
+                    let (b1, b2) = (&classes[c1], &classes[c2]);
+                    let rows: Vec<&[Use]> = (self.states())
+                        .filter(|q| bit_has(b1, q.index()))
+                        .map(|q| idx.left(q))
+                        .collect();
+                    let visits: usize = rows.iter().map(|row| row.len()).sum();
+                    budget.charge((live.len() + visits) as u64)?;
+                    succ.fill(0);
+                    for u in rows.into_iter().flatten() {
+                        if bit_has(b2, u.partner.index()) {
+                            let out = &mut succ[u.sym as usize * words..][..words];
+                            for q in self.rules[u.rule as usize].targets.as_slice() {
+                                bit_set(out, q.index());
                             }
-                            any = true;
                         }
                     }
-                    let set: Vec<State> = if any {
-                        (0..self.n_states as u32)
-                            .map(State)
-                            .filter(|q| has(&out_bits, *q))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let id = intern(
-                        set,
-                        &mut classes,
-                        &mut class_bits,
-                        &mut class_ids,
-                        &mut queue,
-                    );
-                    trans.insert(((*l).clone(), c1, c2), id);
-                }
-                // Symbols with no rules at all map every pair to ∅.
-                for l in &self.internal_alphabet {
-                    if !by_symbol.contains_key(l) {
-                        let empty = class_ids[&Vec::new()];
-                        trans.insert((l.clone(), c1, c2), empty);
+                    for &sym in &live {
+                        let id = intern(&succ[sym * words..][..words], &mut classes);
+                        trans.push((sym, c1 as u32, c2 as u32, id));
                     }
                 }
             }
+            c += 1;
         }
-        let finals = classes
-            .iter()
-            .map(|set| set.iter().any(|&q| self.is_final(q)))
+        let n = classes.len();
+        let mut table = vec![empty; n_syms * n * n];
+        for (sym, c1, c2, c) in trans {
+            table[(sym * n + c1 as usize) * n + c2 as usize] = c;
+        }
+        let finals = (classes.iter())
+            .map(|bits| {
+                self.states()
+                    .any(|q| self.is_final(q) && bit_has(bits, q.index()))
+            })
             .collect();
         Ok(Dbta {
-            leaf_alphabet: self.leaf_alphabet.clone(),
-            internal_alphabet: self.internal_alphabet.clone(),
-            n_classes: classes.len(),
+            alphabets: self.alphabets.clone(),
+            n_classes: n,
             leaf_map,
-            trans,
+            trans: table,
             finals,
         })
     }
 }
 
+/// Groups `(bucket, value)` items by bucket, keeping their order within a
+/// bucket (a stable counting sort): bucket `b` is
+/// `values[start[b]..start[b + 1]]` of the returned `(start, values)`.
+fn group<T: Copy>(n: usize, items: impl Iterator<Item = (usize, T)> + Clone) -> (Vec<u32>, Vec<T>) {
+    let mut start = vec![0u32; n + 1];
+    for (b, _) in items.clone() {
+        start[b + 1] += 1;
+    }
+    for b in 1..=n {
+        start[b] += start[b - 1];
+    }
+    let Some((_, first)) = items.clone().next() else {
+        return (start, Vec::new());
+    };
+    let mut fill = start.clone();
+    let mut values = vec![first; start[n] as usize];
+    for (b, v) in items {
+        values[fill[b] as usize] = v;
+        fill[b] += 1;
+    }
+    (start, values)
+}
+
+/// The product pair table's key for `(a, b)`: `a·2³² + b`.
+fn pair_key(a: State, b: State) -> u64 {
+    u64::from(a.0) << 32 | u64::from(b.0)
+}
+
+/// Key → table position for a rule table.
+fn key_table(rules: &[Rule]) -> FxHashMap<(u32, State, State), u32> {
+    rules
+        .iter()
+        .enumerate()
+        .map(|(i, r)| ((r.sym, r.left, r.right), i as u32))
+        .collect()
+}
+
 /// A complete deterministic bottom-up binary tree automaton.
 #[derive(Clone, Debug)]
 pub struct Dbta<L> {
-    leaf_alphabet: Vec<L>,
-    internal_alphabet: Vec<L>,
+    alphabets: Arc<Alphabets<L>>,
     n_classes: usize,
-    leaf_map: HashMap<L, u32>,
-    trans: HashMap<(L, u32, u32), u32>,
+    /// The class of each leaf symbol, by leaf-alphabet position.
+    leaf_map: Vec<u32>,
+    /// `σ(c₁, c₂)` at `(σ·n + c₁)·n + c₂` for `n` classes.
+    trans: Vec<u32>,
     finals: Vec<bool>,
 }
 
@@ -676,21 +1085,23 @@ impl<L: Clone + Eq + Hash> Dbta<L> {
         self.n_classes
     }
 
+    fn step(&self, sym: usize, c1: u32, c2: u32) -> u32 {
+        let n = self.n_classes;
+        self.trans[(sym * n + c1 as usize) * n + c2 as usize]
+    }
+
     /// Evaluates `t` to its unique state. Panics on symbols outside the
     /// alphabets.
     pub fn eval(&self, t: &RankedTree<L>) -> u32 {
         match t {
-            RankedTree::Leaf(l) => *self
-                .leaf_map
-                .get(l)
-                .expect("leaf symbol outside the automaton's alphabet"),
+            RankedTree::Leaf(l) => {
+                let pos = self.alphabets.leaf_pos(l);
+                self.leaf_map[pos.expect("leaf symbol outside the automaton's alphabet")]
+            }
             RankedTree::Node(l, a, b) => {
-                let ca = self.eval(a);
-                let cb = self.eval(b);
-                *self
-                    .trans
-                    .get(&(l.clone(), ca, cb))
-                    .expect("internal symbol/state pair outside the automaton's table")
+                let sym = self.alphabets.id(l);
+                let sym = sym.expect("internal symbol outside the automaton's alphabet");
+                self.step(sym as usize, self.eval(a), self.eval(b))
             }
         }
     }
@@ -708,116 +1119,108 @@ impl<L: Clone + Eq + Hash> Dbta<L> {
         }
     }
 
-    /// Converts back to a nondeterministic automaton.
     /// Moore-style minimization: merges language-equivalent states. The
     /// result is again complete and deterministic, restricted to states
     /// reachable from some tree.
     pub fn minimize(&self) -> Dbta<L> {
-        // Reachable states (derivable by some tree).
+        let n_syms = self.alphabets.internal.len();
+        // Reachable states (derivable by some tree), in discovery order.
         let mut reach: Vec<bool> = vec![false; self.n_classes];
-        let mut order: Vec<u32> = Vec::new();
-        for &c in self.leaf_map.values() {
+        let mut members: Vec<u32> = Vec::new();
+        for &c in &self.leaf_map {
             if !reach[c as usize] {
                 reach[c as usize] = true;
-                order.push(c);
+                members.push(c);
             }
         }
         loop {
-            let mut changed = false;
-            for ((_, c1, c2), &c) in &self.trans {
-                if reach[*c1 as usize] && reach[*c2 as usize] && !reach[c as usize] {
-                    reach[c as usize] = true;
-                    order.push(c);
-                    changed = true;
+            let before = members.len();
+            for sym in 0..n_syms {
+                for i in 0..members.len() {
+                    for j in 0..members.len() {
+                        let c = self.step(sym, members[i], members[j]);
+                        if !reach[c as usize] {
+                            reach[c as usize] = true;
+                            members.push(c);
+                        }
+                    }
                 }
             }
-            if !changed {
+            if members.len() == before {
                 break;
             }
         }
         // Partition refinement over reachable states: signature = final flag
         // plus, per (symbol, partner, side), the partner's current class.
-        let members: Vec<u32> = order;
-        let mut part: HashMap<u32, u32> = members
-            .iter()
-            .map(|&c| (c, u32::from(self.finals[c as usize])))
-            .collect();
+        let mut part: Vec<u32> = vec![u32::MAX; self.n_classes];
+        for &c in &members {
+            part[c as usize] = u32::from(self.finals[c as usize]);
+        }
         loop {
-            let mut sigs: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-            let mut next: HashMap<u32, u32> = HashMap::new();
+            let mut sigs: FxHashMap<(u32, Vec<u32>), u32> = FxHashMap::default();
+            let mut next = vec![u32::MAX; self.n_classes];
             for &c in &members {
-                let mut sig: Vec<u32> = Vec::new();
-                for l in &self.internal_alphabet {
+                let mut sig: Vec<u32> = Vec::with_capacity(2 * n_syms * members.len());
+                for sym in 0..n_syms {
                     for &d in &members {
-                        let left = self.trans.get(&(l.clone(), c, d)).copied();
-                        let right = self.trans.get(&(l.clone(), d, c)).copied();
-                        sig.push(left.map_or(u32::MAX, |x| {
-                            if reach[x as usize] {
-                                part[&x]
-                            } else {
-                                u32::MAX
-                            }
-                        }));
-                        sig.push(right.map_or(u32::MAX, |x| {
-                            if reach[x as usize] {
-                                part[&x]
-                            } else {
-                                u32::MAX
-                            }
-                        }));
+                        sig.push(part[self.step(sym, c, d) as usize]);
+                        sig.push(part[self.step(sym, d, c) as usize]);
                     }
                 }
                 let fresh = sigs.len() as u32;
-                let id = *sigs.entry((part[&c], sig)).or_insert(fresh);
-                next.insert(c, id);
+                next[c as usize] = *sigs.entry((part[c as usize], sig)).or_insert(fresh);
             }
             if next == part {
                 break;
             }
             part = next;
         }
-        let n_new = part.values().copied().max().map_or(0, |m| m as usize + 1);
-        let mut finals = vec![false; n_new];
-        let mut leaf_map = HashMap::new();
-        for (l, &c) in &self.leaf_map {
-            leaf_map.insert(l.clone(), part[&c]);
-        }
-        let mut trans = HashMap::new();
+        let n = members
+            .iter()
+            .map(|&c| part[c as usize] as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut finals = vec![false; n];
+        let mut trans = vec![0u32; n_syms * n * n];
         for &c in &members {
-            finals[part[&c] as usize] = self.finals[c as usize];
-            for l in &self.internal_alphabet {
+            let pc = part[c as usize] as usize;
+            finals[pc] = self.finals[c as usize];
+            for sym in 0..n_syms {
                 for &d in &members {
-                    if let Some(&x) = self.trans.get(&(l.clone(), c, d)) {
-                        if reach[x as usize] {
-                            trans.insert((l.clone(), part[&c], part[&d]), part[&x]);
-                        }
-                    }
+                    let pd = part[d as usize] as usize;
+                    trans[(sym * n + pc) * n + pd] = part[self.step(sym, c, d) as usize];
                 }
             }
         }
         Dbta {
-            leaf_alphabet: self.leaf_alphabet.clone(),
-            internal_alphabet: self.internal_alphabet.clone(),
-            n_classes: n_new,
-            leaf_map,
+            alphabets: self.alphabets.clone(),
+            n_classes: n,
+            leaf_map: self.leaf_map.iter().map(|&c| part[c as usize]).collect(),
             trans,
             finals,
         }
     }
 
+    /// Converts back to a nondeterministic automaton.
     pub fn to_nbta(&self) -> Nbta<L> {
-        let mut out = Nbta::new(self.leaf_alphabet.clone(), self.internal_alphabet.clone());
-        for _ in 0..self.n_classes {
-            out.add_state();
+        let mut out = Nbta::over(self.alphabets.clone());
+        out.n_states = self.n_classes;
+        out.finals = self.finals.clone();
+        for (pos, &c) in self.leaf_map.iter().enumerate() {
+            out.leaf_rules[pos].push(State(c));
         }
-        for (c, &f) in self.finals.iter().enumerate() {
-            out.set_final(State(c as u32), f);
-        }
-        for (l, &c) in &self.leaf_map {
-            out.add_leaf_rule(l.clone(), State(c));
-        }
-        for ((l, c1, c2), &c) in &self.trans {
-            out.add_rule(l.clone(), State(*c1), State(*c2), State(c));
+        let n = self.n_classes as u32;
+        for sym in 0..self.alphabets.internal.len() {
+            for c1 in 0..n {
+                for c2 in 0..n {
+                    out.rules.push(Rule {
+                        sym: sym as u32,
+                        left: State(c1),
+                        right: State(c2),
+                        targets: Targets::One(State(self.step(sym, c1, c2))),
+                    });
+                }
+            }
         }
         out
     }
@@ -1040,6 +1443,23 @@ mod tests {
         ] {
             assert_eq!(err.reason, ExhaustReason::Fuel);
         }
+    }
+
+    #[test]
+    fn complement_of_universal_is_empty() {
+        // The subset automaton interns the empty class as a sink even when
+        // no tree reaches it; as the complement's only final state it must
+        // not count as derivable.
+        let budget = BudgetHandle::unlimited();
+        let mut u = Nbta::new(vec!['#'], vec!['a']);
+        let q = u.add_state();
+        u.set_final(q, true);
+        u.add_leaf_rule('#', q);
+        u.add_rule('a', q, q, q);
+        let c = u.determinize(&budget).unwrap().complement().to_nbta();
+        assert!(c.is_empty(&budget).unwrap());
+        assert!(c.trim(&budget).unwrap().is_empty(&budget).unwrap());
+        assert!(c.witness(&budget).unwrap().is_none());
     }
 
     #[test]

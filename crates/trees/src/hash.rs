@@ -170,6 +170,72 @@ impl StableHash for crate::Symbol {
     }
 }
 
+/// A fast, deterministic hasher for in-memory keyed lookups (the
+/// rustc "Fx" multiply-rotate scheme). Unlike `RandomState` it is not
+/// seeded per process, and unlike [`StableHasher`] it is built for speed
+/// on small integer keys, not for a documented cross-release value. Not
+/// collision-resistant: use it only for keys no adversary chooses.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// `BuildHasher` for [`FxHasher`].
+pub type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+
+/// A `HashMap` keyed through [`FxHasher`].
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+
+/// A `HashSet` keyed through [`FxHasher`].
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +254,17 @@ mod tests {
         let x = vec!["ab".to_owned(), "c".to_owned()];
         let y = vec!["a".to_owned(), "bc".to_owned()];
         assert_ne!(stable_hash_of(&x), stable_hash_of(&y));
+    }
+
+    #[test]
+    fn fx_hash_is_fixed_across_hashers() {
+        use std::hash::{BuildHasher, Hash, Hasher};
+        let key = (7u32, 11u32);
+        let one = FxBuildHasher::default().hash_one(key);
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        assert_eq!(one, h.finish());
+        assert_ne!(one, FxBuildHasher::default().hash_one((11u32, 7u32)));
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! suite uses, so every schema/transducer pair here once mattered enough
 //! to be a shrunk fuzzer reproducer.
 
+use textpres::dtl::{DtlState, Rhs};
 use textpres::engine::{
     Budget, CheckOptions, Decider, DtlDecider, Engine, OutputConformanceDecider,
     TextRetentionDecider, TopdownDecider,
 };
 use textpres::format::parse_case;
-use textpres::prelude::{Alphabet, DtlBuilder, NtaBuilder};
+use textpres::prelude::{Alphabet, DtlBuilder, DtlTransducer, NodeExpr, NtaBuilder, XPathPatterns};
 use textpres::treeauto::{complement_nta, difference_nta, language_equal, Nta};
 use tpx_trees::budget::BudgetHandle;
 
@@ -146,6 +147,50 @@ fn generous_budget_is_inert_for_dtl() {
     let options = CheckOptions::with_budget(Budget::default().with_fuel(500_000_000));
     assert_budget_inert(&DtlDecider::new(&identity), &uni, &options, "dtl/identity");
     assert_budget_inert(&DtlDecider::new(&dropping), &uni, &options, "dtl/dropping");
+}
+
+/// Fuel and witnesses do not depend on hash-map iteration order: the
+/// same governed DTL check, run three times on fresh engines, charges the
+/// same fuel in every stage and, when the program is not preserving,
+/// reports the same witness.
+#[test]
+fn dtl_fuel_and_witness_are_reproducible() {
+    let alpha = Alphabet::from_labels(["a"]);
+    let mut b = NtaBuilder::new(&alpha);
+    b.root("u");
+    b.rule("u", "a", "(u | ut)*");
+    b.text_rule("ut");
+    let uni = b.finish();
+
+    // a → a((q1, child) (q1, child)) with q1 keeping text: every child's
+    // text twice, so copying on a("x").
+    let a = alpha.sym("a");
+    let mut copying = DtlTransducer::new(XPathPatterns, 2, DtlState(0));
+    let calls = [0, 1].map(|_| {
+        let child = textpres::xpath::parse_path("child", &mut alpha.clone()).unwrap();
+        Rhs::Call(DtlState(1), copying.add_binary_pattern(child))
+    });
+    copying.add_rule(
+        DtlState(0),
+        NodeExpr::Label(a),
+        vec![Rhs::Elem(a, calls.to_vec())],
+    );
+    copying.set_text_rule(DtlState(1), true);
+
+    let options = CheckOptions::with_budget(Budget::default().with_fuel(500_000_000));
+    let runs: Vec<_> = (0..3)
+        .map(|_| {
+            let v = Engine::new()
+                .check_governed(&DtlDecider::new(&copying), &uni, &options)
+                .expect("a generous budget decides");
+            let fuel: Vec<_> = v.stats.stages.iter().map(|s| (s.stage, s.fuel)).collect();
+            (fuel, format!("{:?}", v.outcome))
+        })
+        .collect();
+    assert!(runs[0].1.starts_with("NotPreserving"), "{:?}", runs[0].1);
+    assert!(runs[0].0.iter().all(|(_, f)| f.is_some_and(|f| f > 0)));
+    assert_eq!(runs[0], runs[1], "fuel or witness differs between runs");
+    assert_eq!(runs[0], runs[2], "fuel or witness differs between runs");
 }
 
 #[test]
