@@ -232,13 +232,21 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         None
     }
 
-    /// States reachable from the initial states.
-    pub fn reachable(&self) -> HashSet<StateId> {
-        let mut seen: HashSet<StateId> = self.initial.iter().copied().collect();
-        let mut stack: Vec<StateId> = self.initial.clone();
+    /// Marks, indexed by state, of the states reachable from the initial
+    /// states.
+    pub fn reachable(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.trans.len()];
+        let mut stack: Vec<StateId> = Vec::new();
+        for &q in &self.initial {
+            if !seen[q.index()] {
+                seen[q.index()] = true;
+                stack.push(q);
+            }
+        }
         while let Some(q) = stack.pop() {
             for (_, r) in &self.trans[q.index()] {
-                if seen.insert(*r) {
+                if !seen[r.index()] {
+                    seen[r.index()] = true;
                     stack.push(*r);
                 }
             }
@@ -246,18 +254,20 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         seen
     }
 
-    /// States from which a final state is reachable.
-    pub fn productive(&self) -> HashSet<StateId> {
+    /// Marks, indexed by state, of the states from which a final state is
+    /// reachable.
+    pub fn productive(&self) -> Vec<bool> {
         // Reverse reachability from finals.
         let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); self.trans.len()];
         for (q, _, r) in self.transitions() {
             rev[r.index()].push(q);
         }
-        let mut seen: HashSet<StateId> = self.states().filter(|&q| self.is_final(q)).collect();
-        let mut stack: Vec<StateId> = seen.iter().copied().collect();
+        let mut seen = self.finals.clone();
+        let mut stack: Vec<StateId> = self.states().filter(|&q| self.is_final(q)).collect();
         while let Some(q) = stack.pop() {
             for &p in &rev[q.index()] {
-                if seen.insert(p) {
+                if !seen[p.index()] {
+                    seen[p.index()] = true;
                     stack.push(p);
                 }
             }
@@ -265,33 +275,27 @@ impl<A: Clone + Eq + Hash> Nfa<A> {
         seen
     }
 
-    /// Removes unreachable and unproductive states, renumbering the rest.
-    /// Language-preserving.
+    /// Removes unreachable and unproductive states, renumbering the rest in
+    /// index order. Language-preserving.
     pub fn trim(&self) -> Nfa<A> {
         let reach = self.reachable();
         let prod = self.productive();
-        let keep: Vec<StateId> = self
-            .states()
-            .filter(|q| reach.contains(q) && prod.contains(q))
-            .collect();
-        let remap: HashMap<StateId, StateId> = keep
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| (q, StateId(i as u32)))
-            .collect();
         let mut out = Nfa::new();
-        out.add_states(keep.len());
-        for &q in &keep {
-            let nq = remap[&q];
-            out.set_final(nq, self.is_final(q));
-            for (a, r) in &self.trans[q.index()] {
-                if let Some(&nr) = remap.get(r) {
-                    out.add_transition(nq, a.clone(), nr);
-                }
-            }
+        let remap: Vec<Option<StateId>> = (0..self.trans.len())
+            .map(|i| (reach[i] && prod[i]).then(|| out.add_state()))
+            .collect();
+        for (q, nq) in remap.iter().enumerate() {
+            let Some(nq) = *nq else { continue };
+            out.finals[nq.index()] = self.finals[q];
+            // Rows hold no duplicates and the renumbering is injective, so
+            // the kept transitions go in without `add_transition`'s scan.
+            out.trans[nq.index()] = self.trans[q]
+                .iter()
+                .filter_map(|(a, r)| remap[r.index()].map(|nr| (a.clone(), nr)))
+                .collect();
         }
         for q in &self.initial {
-            if let Some(&nq) = remap.get(q) {
+            if let Some(nq) = remap[q.index()] {
                 out.set_initial(nq);
             }
         }

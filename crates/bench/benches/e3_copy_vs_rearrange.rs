@@ -34,11 +34,13 @@ fn construction_sizes(_c: &mut Criterion) {
         // empty language (that emptiness IS the verdict); the swapper keeps
         // it inhabited, exposing the Θ(n²) pair-tracking states.
         let t = tpx_workload::transducers::swapper_at_depth(&alpha, n, n / 2);
-        let m = textpres::topdown::decide::rearranging_nta(&t, &BudgetHandle::unlimited()).unwrap();
+        let budget = BudgetHandle::unlimited();
+        let m = textpres::topdown::decide::rearranging_nta(&t, &budget).unwrap();
         eprintln!(
-            "e3: swapper n={n}: rearranging NTA (Lemma 4.10 M, trimmed): {} states, size {}",
+            "e3: swapper n={n}: rearranging NTA (Lemma 4.10 M, trimmed): {} states, size {}, fuel {}",
             m.state_count(),
-            m.size()
+            m.size(),
+            budget.fuel_spent()
         );
     }
 }

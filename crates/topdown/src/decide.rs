@@ -132,8 +132,8 @@ pub fn compile_schema_artifacts(
 
 /// Stage 1b (copy side): `A_T` and the two Lemma 4.5 condition automata.
 ///
-/// Fuel is charged inside the pair and doubling constructions, one unit per
-/// product state row.
+/// Fuel: `|A_T|`, then one unit per reachable row of the pair automaton and
+/// per `(state, symbol)` row of the doubling automaton.
 pub fn compile_copy_artifacts(
     t: &Transducer,
     budget: &BudgetHandle,
@@ -152,7 +152,7 @@ pub fn compile_copy_artifacts(
 /// Stage 1b (full): copy-side automata plus the Lemma 4.10 rearranging NTA.
 ///
 /// Fuel probes run inside both the copy-side construction and the
-/// rearranging-NTA state loops. Emits one sub-span per compiled half
+/// rearranging-NTA role worklist. Emits one sub-span per compiled half
 /// (`topdown/transducer/copying`, `topdown/transducer/rearranging`)
 /// carrying the fuel charged and the artifact size.
 pub fn compile_transducer_artifacts(
@@ -288,7 +288,11 @@ pub fn rearranging_witness(t: &Transducer, nta: &Nta) -> Option<Tree> {
 /// and the two state sequences differ somewhere (condition (1) of
 /// Lemma 4.5: two *different* path runs).
 ///
-/// One fuel unit per product state row `(p, q, flag)`.
+/// States keep the dense `(p, q, flag)` numbering, but only the rows of
+/// triples reachable from the initial pairs are filled, through a worklist;
+/// the final trim renumbers the survivors in index order, so the result is
+/// the automaton the full `2·|Q|²` table trims to. One fuel unit per
+/// reachable row `(p, q, flag)`.
 fn diverging_pairs_automaton(
     a_t: &Nfa<PathSym>,
     budget: &BudgetHandle,
@@ -298,28 +302,34 @@ fn diverging_pairs_automaton(
         |p: StateId, q: StateId, diverged: bool| StateId((p.0 * n + q.0) * 2 + u32::from(diverged));
     let mut out: Nfa<PathSym> = Nfa::new();
     out.add_states(2 * (n as usize) * (n as usize));
+    let mut seen = vec![false; out.state_count()];
+    let mut stack: Vec<(StateId, StateId, bool)> = Vec::new();
+    let mut visit = |p: StateId, q: StateId, flag: bool, stack: &mut Vec<_>| {
+        let s = id(p, q, flag);
+        if !seen[s.index()] {
+            seen[s.index()] = true;
+            stack.push((p, q, flag));
+        }
+        s
+    };
     for &i in a_t.initial_states() {
         for &j in a_t.initial_states() {
-            out.set_initial(id(i, j, i != j));
+            out.set_initial(visit(i, j, i != j, &mut stack));
         }
     }
-    for p in a_t.states() {
-        for q in a_t.states() {
-            for flag in [false, true] {
-                budget.charge(1)?;
-                let from = id(p, q, flag);
-                for (a, p2) in a_t.transitions_from(p) {
-                    for (b, q2) in a_t.transitions_from(q) {
-                        if a == b {
-                            let flag2 = flag || p2 != q2;
-                            out.add_transition(from, *a, id(*p2, *q2, flag2));
-                        }
-                    }
-                }
-                if flag && a_t.is_final(p) && a_t.is_final(q) {
-                    out.set_final(from, true);
+    while let Some((p, q, flag)) = stack.pop() {
+        budget.charge(1)?;
+        let from = id(p, q, flag);
+        for (a, p2) in a_t.transitions_from(p) {
+            for (b, q2) in a_t.transitions_from(q) {
+                if a == b {
+                    let to = visit(*p2, *q2, flag || p2 != q2, &mut stack);
+                    out.add_transition(from, *a, to);
                 }
             }
+        }
+        if flag && a_t.is_final(p) && a_t.is_final(q) {
+            out.set_final(from, true);
         }
     }
     Ok(out.trim())
@@ -414,17 +424,119 @@ impl RearrangeSpace {
             Role::B2(TdState(i - 1 - 2 * self.n - self.n * self.n))
         }
     }
+
+    /// The row `δ(role, σ)` of `M` over dense role ids, given the frontier
+    /// of `rhs(q, σ)` for every transducer state (`None`: no rule).
+    fn row(&self, role: State, frontier: &[Option<Vec<TdState>>]) -> Option<Row> {
+        let f = |q: TdState| frontier[q.index()].as_deref();
+        match self.role(role) {
+            Role::Any => Some(Row::AnyHedge),
+            Role::S0(q) => {
+                // S0(q): continue single run, or diverge.
+                let ls = f(q)?;
+                let mut singles: Vec<State> = ls.iter().map(|&p| self.s0(p)).collect();
+                let mut splits: Vec<(State, State)> = Vec::new();
+                for (earlier, later) in swap_pairs(ls) {
+                    // Both runs descend into the same child: run1 = `later`
+                    // (reaches v₁), run2 = `earlier` (reaches v₂).
+                    singles.push(self.d(later, earlier));
+                    // Runs split to different children c₁ < c₂: run1 into c₁.
+                    splits.push((self.b1(later), self.b2(earlier)));
+                }
+                Some(Row::Content(singles, splits))
+            }
+            // D(q1, q2): continue both runs in the same child, or split with
+            // run1 (towards v₁) into a strictly earlier child.
+            Role::D(q1, q2) => {
+                let (ls1, ls2) = (f(q1)?, f(q2)?);
+                let mut singles = Vec::new();
+                let mut splits = Vec::new();
+                for &p1 in ls1 {
+                    for &p2 in ls2 {
+                        singles.push(self.d(p1, p2));
+                        splits.push((self.b1(p1), self.b2(p2)));
+                    }
+                }
+                Some(Row::Content(singles, splits))
+            }
+            // B1(q) / B2(q): continue a single run.
+            Role::B1(q) => Some(Row::Content(
+                f(q)?.iter().map(|&p| self.b1(p)).collect(),
+                Vec::new(),
+            )),
+            Role::B2(q) => Some(Row::Content(
+                f(q)?.iter().map(|&p| self.b2(p)).collect(),
+                Vec::new(),
+            )),
+        }
+    }
 }
 
-/// Ordered pairs `(earlier, later)` of *distinct frontier positions* of
-/// `rhs(q, a)`: `earlier` appears strictly before `later`. A swap is
-/// witnessed when the run that continues from `earlier` reaches the
+/// One content model of `M`, over role ids.
+enum Row {
+    /// `Any*`: any children hedge — crucially including the *empty* one, so
+    /// an element leaf in a don't-care position still evaluates to `Any`.
+    /// (An `Any* · X · Any*`-shaped row here would demand at least one
+    /// child, silently missing every witness with an element leaf outside
+    /// the swap paths.)
+    AnyHedge,
+    /// `Any* · X · Any*` with `X` from the singles, plus the split words
+    /// `Any* B1 Any* B2 Any*`.
+    Content(Vec<State>, Vec<(State, State)>),
+}
+
+impl Row {
+    /// The role ids the row mentions besides `Any`.
+    fn targets(&self) -> impl Iterator<Item = State> + '_ {
+        let (singles, splits): (&[State], &[(State, State)]) = match self {
+            Row::AnyHedge => (&[], &[]),
+            Row::Content(singles, splits) => (singles, splits),
+        };
+        singles
+            .iter()
+            .copied()
+            .chain(splits.iter().flat_map(|&(x1, x2)| [x1, x2]))
+    }
+
+    /// The content NFA, with every role id (and `any`) mapped through `id`.
+    ///
+    /// Don't-care positions loop on the single `Any` state rather than on
+    /// every state of the space: every schema subtree evaluates to `Any`
+    /// (its row accepts every hedge over `Any`, including the empty one),
+    /// so the accepted tree language is unchanged while each row stays
+    /// O(|singles| + |splits|) instead of O(n²) transitions.
+    fn nfa(&self, any: State, id: impl Fn(State) -> State) -> Nfa<State> {
+        let mut nfa: Nfa<State> = Nfa::new();
+        let s0 = nfa.add_state();
+        nfa.set_initial(s0);
+        nfa.add_transition(s0, id(any), s0);
+        let Row::Content(singles, splits) = self else {
+            nfa.set_final(s0, true);
+            return nfa;
+        };
+        let s1 = nfa.add_state();
+        nfa.set_final(s1, true);
+        nfa.add_transition(s1, id(any), s1);
+        for &x in singles {
+            nfa.add_transition(s0, id(x), s1);
+        }
+        if !splits.is_empty() {
+            let mid = nfa.add_state();
+            nfa.add_transition(mid, id(any), mid);
+            for &(x1, x2) in splits {
+                nfa.add_transition(s0, id(x1), mid);
+                nfa.add_transition(mid, id(x2), s1);
+            }
+        }
+        nfa
+    }
+}
+
+/// Ordered pairs `(earlier, later)` of *distinct frontier positions* of a
+/// rule's frontier `f`: `earlier` appears strictly before `later`. A swap
+/// is witnessed when the run that continues from `earlier` reaches the
 /// doc-*later* leaf `v₂` and the run from `later` reaches `v₁`.
-fn swap_pairs(t: &Transducer, q: TdState, a: Symbol) -> Vec<(TdState, TdState)> {
-    let Some(rhs) = t.rhs(q, a) else {
-        return Vec::new();
-    };
-    let f = frontier_states(rhs);
+fn swap_pairs(f: &[TdState]) -> Vec<(TdState, TdState)> {
     let mut out = Vec::new();
     for j in 0..f.len() {
         for j2 in (j + 1)..f.len() {
@@ -440,123 +552,72 @@ fn swap_pairs(t: &Transducer, q: TdState, a: Symbol) -> Vec<(TdState, TdState)> 
 /// The Lemma 4.10 automaton: an NTA accepting exactly the trees on which
 /// `t` rearranges (over all text trees; intersect with a schema to restrict).
 ///
-/// One fuel unit per content-NFA row set on the automaton (the dominant
-/// cost — each row is a fresh horizontal NFA).
+/// Built from the root: a worklist over roles, started at `S0(q₀)` and
+/// `Any`, follows the edges the rows encode (`S0 → S0`, swap pairs →
+/// `D`/`B1`/`B2`, `D → D`/`B1`/`B2`, `B1 → B1`, `B2 → B2`). Only the
+/// reached roles get states and content NFAs, numbered in dense-layout
+/// order, so the final trim — which keeps its survivors in index order —
+/// yields state for state the automaton built over the whole role space.
+///
+/// One fuel unit per reachable `(role, symbol)` row (the dominant cost —
+/// each row is a fresh horizontal NFA), plus the trim's.
 pub fn rearranging_nta(t: &Transducer, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
     let sp = RearrangeSpace {
         n: t.state_count() as u32,
     };
-    let mut m = Nta::new(t.symbol_count());
-    for _ in 0..sp.size() {
-        m.add_state();
+    // frontiers[σ][q]: the frontier of rhs(q, σ), if that rule exists.
+    let frontiers: Vec<Vec<Option<Vec<TdState>>>> = (0..t.symbol_count())
+        .map(|sym| {
+            t.states()
+                .map(|q| t.rhs(q, Symbol(sym as u32)).map(frontier_states))
+                .collect()
+        })
+        .collect();
+
+    // Pass 1: the rows of every role reachable from the root.
+    let mut reached = vec![false; sp.size()];
+    let mut stack = vec![sp.any(), sp.s0(t.initial())];
+    for &r in &stack {
+        reached[r.index()] = true;
     }
-    let all_states: Vec<State> = (0..sp.size() as u32).map(State).collect();
-
-    // Helper building the content NFA `Any* · X · Any*` with X from a set of
-    // single states, plus optional split words `Any* B1 Any* B2 Any*`.
-    //
-    // Don't-care positions loop on the single `Any` state rather than on
-    // every state of the space: every schema subtree evaluates to `Any`
-    // (its row below accepts every hedge over `Any`, including the empty
-    // one), so the accepted tree language is unchanged while each row
-    // stays O(|singles| + |splits|) instead of O(n²) transitions.
-    let any = sp.any();
-    let content = |singles: &[State], splits: &[(State, State)]| -> Nfa<State> {
-        let mut nfa: Nfa<State> = Nfa::new();
-        let s0 = nfa.add_state();
-        let s1 = nfa.add_state();
-        nfa.set_initial(s0);
-        nfa.set_final(s1, true);
-        nfa.add_transition(s0, any, s0);
-        nfa.add_transition(s1, any, s1);
-        for &x in singles {
-            nfa.add_transition(s0, x, s1);
-        }
-        if !splits.is_empty() {
-            let mid = nfa.add_state();
-            nfa.add_transition(mid, any, mid);
-            for &(x1, x2) in splits {
-                nfa.add_transition(s0, x1, mid);
-                nfa.add_transition(mid, x2, s1);
-            }
-        }
-        nfa
-    };
-
-    for sym in 0..t.symbol_count() {
-        let s = Symbol(sym as u32);
-        // Any: accepts any children hedge — crucially including the *empty*
-        // one, so an element leaf in a don't-care position still evaluates
-        // to `Any`. (The previous `Any* · X · Any*`-shaped row demanded at
-        // least one child here, so every witness containing an element leaf
-        // outside the swap paths was silently missed.)
-        budget.charge(1)?;
-        let mut any_nfa: Nfa<State> = Nfa::new();
-        let a0 = any_nfa.add_state();
-        any_nfa.set_initial(a0);
-        any_nfa.set_final(a0, true);
-        any_nfa.add_transition(a0, any, a0);
-        m.set_content(sp.any(), s, any_nfa);
-
-        for q in t.states() {
+    let mut rows: Vec<(State, Symbol, Row)> = Vec::new();
+    while let Some(role) = stack.pop() {
+        for (sym, frontier) in frontiers.iter().enumerate() {
             budget.charge(1)?;
-            let Some(rhs) = t.rhs(q, s) else { continue };
-            let ls = frontier_states(rhs);
-            // S0(q): continue single run, or diverge.
-            let mut singles: Vec<State> = Vec::new();
-            for &q2 in &ls {
-                singles.push(sp.s0(q2));
-            }
-            let mut splits: Vec<(State, State)> = Vec::new();
-            for (earlier, later) in swap_pairs(t, q, s) {
-                // Both runs descend into the same child: run1 = `later`
-                // (reaches v₁), run2 = `earlier` (reaches v₂).
-                singles.push(sp.d(later, earlier));
-                // Runs split to different children c₁ < c₂: run1 into c₁.
-                splits.push((sp.b1(later), sp.b2(earlier)));
-            }
-            m.set_content(sp.s0(q), s, content(&singles, &splits));
-
-            // B1(q) / B2(q): continue a single run.
-            let b1_singles: Vec<State> = ls.iter().map(|&p| sp.b1(p)).collect();
-            m.set_content(sp.b1(q), s, content(&b1_singles, &[]));
-            let b2_singles: Vec<State> = ls.iter().map(|&p| sp.b2(p)).collect();
-            m.set_content(sp.b2(q), s, content(&b2_singles, &[]));
-        }
-
-        // D(q1, q2): continue both runs in the same child, or split with
-        // run1 (towards v₁) into a strictly earlier child.
-        for q1 in t.states() {
-            for q2 in t.states() {
-                budget.charge(1)?;
-                let (Some(rhs1), Some(rhs2)) = (t.rhs(q1, s), t.rhs(q2, s)) else {
-                    continue;
-                };
-                let ls1 = frontier_states(rhs1);
-                let ls2 = frontier_states(rhs2);
-                let mut singles = Vec::new();
-                let mut splits = Vec::new();
-                for &p1 in &ls1 {
-                    for &p2 in &ls2 {
-                        singles.push(sp.d(p1, p2));
-                        splits.push((sp.b1(p1), sp.b2(p2)));
-                    }
+            let Some(row) = sp.row(role, frontier) else {
+                continue;
+            };
+            for x in row.targets() {
+                if !reached[x.index()] {
+                    reached[x.index()] = true;
+                    stack.push(x);
                 }
-                m.set_content(sp.d(q1, q2), s, content(&singles, &splits));
             }
+            rows.push((role, Symbol(sym as u32), row));
         }
     }
 
-    // Text acceptance.
-    for st in &all_states {
-        let ok = match sp.role(*st) {
+    // Pass 2: states for the reached roles, in dense-layout order.
+    let mut m = Nta::new(t.symbol_count());
+    let mut local = vec![State(u32::MAX); sp.size()];
+    for (i, _) in reached.iter().enumerate().filter(|(_, &r)| r) {
+        let q = m.add_state();
+        local[i] = q;
+        let text_ok = match sp.role(State(i as u32)) {
             Role::Any => true,
-            Role::B1(q) | Role::B2(q) => t.text_rule(q),
+            Role::B1(p) | Role::B2(p) => t.text_rule(p),
             Role::S0(_) | Role::D(_, _) => false,
         };
-        m.set_text_ok(*st, ok);
+        m.set_text_ok(q, text_ok);
     }
-    m.add_root(sp.s0(t.initial()));
+    for (role, sym, row) in &rows {
+        m.set_content(
+            local[role.index()],
+            *sym,
+            row.nfa(sp.any(), |x| local[x.index()]),
+        );
+    }
+    m.add_root(local[sp.s0(t.initial()).index()]);
     m.trim(budget)
 }
 

@@ -380,22 +380,13 @@ impl Nta {
                 }
             }
         }
-        let keep: Vec<State> = self
-            .states()
-            .filter(|q| reach[q.index()] && inhabited[q.index()])
-            .collect();
-        let remap: HashMap<State, State> = keep
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| (q, State(i as u32)))
-            .collect();
         let mut out = Nta::new(self.n_symbols);
-        for _ in 0..keep.len() {
-            out.add_state();
-        }
-        for &q in &keep {
+        let remap: Vec<Option<State>> = (0..n)
+            .map(|q| (reach[q] && inhabited[q]).then(|| out.add_state()))
+            .collect();
+        for (q, nq) in self.states().zip(&remap) {
+            let Some(nq) = *nq else { continue };
             budget.charge(1)?;
-            let nq = remap[&q];
             out.text_ok[nq.index()] = self.text_ok(q);
             for sym in 0..self.n_symbols {
                 let s = Symbol(sym as u32);
@@ -410,7 +401,7 @@ impl Nta {
             }
         }
         for &r in &self.roots {
-            if let Some(&nr) = remap.get(&r) {
+            if let Some(nr) = remap[r.index()] {
                 out.add_root(nr);
             }
         }
@@ -525,10 +516,6 @@ fn build_witness(
 /// Whether `nfa` accepts some word `q₁ ⋯ qₙ` with `qᵢ ∈ setsᵢ`.
 fn nfa_accepts_sets(nfa: &Nfa<State>, sets: &[&Vec<State>]) -> bool {
     let mut cur: Vec<StateId> = nfa.initial_states().to_vec();
-    let mut seen = vec![false; nfa.state_count()];
-    for &p in &cur {
-        seen[p.index()] = true;
-    }
     for set in sets {
         let mut next = Vec::new();
         let mut mark = vec![false; nfa.state_count()];
@@ -544,7 +531,6 @@ fn nfa_accepts_sets(nfa: &Nfa<State>, sets: &[&Vec<State>]) -> bool {
         if cur.is_empty() {
             return false;
         }
-        let _ = &mut seen;
     }
     cur.iter().any(|&p| nfa.is_final(p))
 }
@@ -705,12 +691,13 @@ fn product_content(a1: &Nfa<State>, a2: &Nfa<State>, n2: u32) -> Nfa<State> {
     out
 }
 
-/// Keeps only transitions whose symbol survives `remap`, relabelling them.
-fn filter_nfa_symbols(nfa: &Nfa<State>, remap: &HashMap<State, State>) -> Nfa<State> {
+/// Keeps only transitions whose symbol survives `remap` (indexed by state),
+/// relabelling them.
+fn filter_nfa_symbols(nfa: &Nfa<State>, remap: &[Option<State>]) -> Nfa<State> {
     let mut out = Nfa::new();
     out.add_states(nfa.state_count());
     for (p, a, r) in nfa.transitions() {
-        if let Some(&na) = remap.get(a) {
+        if let Some(na) = remap[a.index()] {
             out.add_transition(p, na, r);
         }
     }

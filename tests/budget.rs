@@ -193,6 +193,36 @@ fn dtl_fuel_and_witness_are_reproducible() {
     assert_eq!(runs[0], runs[2], "fuel or witness differs between runs");
 }
 
+/// The transducer stage builds only what its start reaches. A cold check
+/// of the chain-32 deep selector (|Σ| = |Q_T| = 32) charges
+/// `topdown/transducer` 3,237 fuel, under 4·|Σ|·|Q_T| = 4,096. Filling
+/// the whole Lemma 4.10 role space would charge |Σ|·(1 + |Q_T| + |Q_T|²)
+/// ≈ 33.8k for its rows alone (76,198 for the stage). Two fresh engines
+/// charge the same fuel in every stage.
+#[test]
+fn topdown_transducer_fuel_stays_linear_on_a_deep_selector() {
+    let (alpha, schema) = tpx_workload::chain_schema(32);
+    let t = tpx_workload::deep_selector(&alpha, 32);
+    let options = CheckOptions::with_budget(Budget::default().with_fuel(5_000_000));
+    let runs: Vec<Vec<(&str, Option<u64>)>> = (0..2)
+        .map(|_| {
+            let v = Engine::new()
+                .check_governed(&TopdownDecider::new(&t), &schema, &options)
+                .expect("a generous budget decides");
+            assert!(v.outcome.is_preserving(), "{:?}", v.outcome);
+            v.stats.stages.iter().map(|s| (s.stage, s.fuel)).collect()
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "fuel differs between fresh engines");
+    let fuel = runs[0]
+        .iter()
+        .find(|(stage, _)| *stage == "topdown/transducer")
+        .and_then(|(_, f)| *f)
+        .expect("the transducer stage reports fuel");
+    let bound = 4 * alpha.len() as u64 * t.state_count() as u64;
+    assert!(fuel <= bound, "topdown/transducer charged {fuel} > {bound}");
+}
+
 #[test]
 fn generous_budget_is_inert_for_treeauto_set_ops() {
     // The governed automata-level ops (complement / difference) must be

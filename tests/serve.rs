@@ -465,7 +465,13 @@ fn drain_under_load_answers_accepted_requests_and_reports_clean() {
                 let mut c = Client::connect(addr);
                 let mut answered = 0;
                 loop {
-                    c.send(&check_frame(SCHEMA, GOOD, ""));
+                    // A drained daemon closes the connection; a write that
+                    // finds it closed (EPIPE) ends the client like a closed
+                    // read does.
+                    let frame = format!("{}\n", check_frame(SCHEMA, GOOD, ""));
+                    if c.stream.write_all(frame.as_bytes()).is_err() {
+                        break answered;
+                    }
                     let mut line = String::new();
                     match c.reader.read_line(&mut line) {
                         Ok(0) | Err(_) => break answered,
