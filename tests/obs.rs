@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use textpres::engine::{
-    CheckOptions, Decider, DtlDecider, Engine, Metrics, Task, TopdownDecider, Tracer, Verdict,
+    Budget, CheckOptions, Decider, DegradeBound, DtlDecider, Engine, Metrics,
+    OutputConformanceDecider, Task, TextRetentionDecider, TopdownDecider, Tracer, Verdict,
 };
 use textpres::prelude::*;
 use tpx_workload::transducers;
@@ -173,6 +174,57 @@ fn cold_check_span_tree_is_pinned() {
             ("dtl/schema", &[]),
             ("dtl/counterexample", &["copying", "rearranging"]),
             ("dtl/decide", &["product", "witness"]),
+        ])
+    );
+
+    let labels: Vec<Symbol> = alpha.symbols().collect();
+    let tracer = Arc::new(Tracer::enabled());
+    let engine = Engine::with_jobs(1).with_tracer(tracer.clone());
+    let verdict = engine
+        .check_governed(&TextRetentionDecider::new(&t, labels), &schema, &unlimited)
+        .expect("identity retention check succeeds");
+    assert!(verdict.is_preserving());
+    assert_eq!(
+        span_sequence(&tracer),
+        expected_sequence(&[
+            ("topdown/schema", &[]),
+            ("topdown/retention/transducer", &[]),
+            ("topdown/retention/decide", &[]),
+        ])
+    );
+
+    let tracer = Arc::new(Tracer::enabled());
+    let engine = Engine::with_jobs(1).with_tracer(tracer.clone());
+    let verdict = engine
+        .check_governed(
+            &OutputConformanceDecider::new(&t, &schema),
+            &schema,
+            &unlimited,
+        )
+        .expect("identity conformance check succeeds");
+    assert!(verdict.is_preserving());
+    assert_eq!(
+        span_sequence(&tracer),
+        expected_sequence(&[("conformance/inverse", &[]), ("conformance/decide", &[])])
+    );
+
+    // Starved of fuel, the symbolic DTL pipeline exhausts inside the
+    // counter-example compilation (its span closes without fields) and the
+    // check degrades to the bounded oracle, which gets a span of its own.
+    let starved = CheckOptions::with_budget(Budget::default().with_fuel(1000))
+        .degrade_with(DegradeBound::default());
+    let tracer = Arc::new(Tracer::enabled());
+    let engine = Engine::with_jobs(1).with_tracer(tracer.clone());
+    let verdict = engine
+        .check_governed(&DtlDecider::new(&dtl), &schema, &starved)
+        .expect("a degraded check still yields a verdict");
+    assert!(verdict.is_degraded() && verdict.is_preserving());
+    assert_eq!(
+        span_sequence(&tracer),
+        expected_sequence(&[
+            ("dtl/schema", &[]),
+            ("dtl/counterexample", &["copying"]),
+            ("dtl/bounded", &[]),
         ])
     );
 }

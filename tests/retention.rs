@@ -6,11 +6,14 @@
 //! deleted-path witness that validates exactly (schema path, through a
 //! selected label, no transducer path run). The mixed-analysis batch test
 //! pins the cache-sharing contract: one schema's shared artifacts compile
-//! exactly once across analyses, deterministically on 1/2/4 workers.
+//! exactly once across analyses and deciders, deterministically on 1/2/4
+//! workers, and every decider prefetches exactly the stages its check
+//! consumes.
 
 use textpres::engine::{
-    CheckOptions, Decider, Engine, Outcome, OutputConformanceDecider, Task, TextRetentionDecider,
-    TopdownDecider, Verdict, OUTPUT_CONFORMANCE, TEXT_PRESERVATION, TEXT_RETENTION,
+    CheckOptions, Decider, DtlDecider, Engine, Outcome, OutputConformanceDecider, Task,
+    TextRetentionDecider, TopdownDecider, Verdict, OUTPUT_CONFORMANCE, TEXT_PRESERVATION,
+    TEXT_RETENTION,
 };
 use textpres::prelude::*;
 use textpres::topdown::{path_automaton_nta, path_automaton_transducer, PathSym};
@@ -180,16 +183,24 @@ fn mixed_analysis_batch_compiles_shared_artifacts_once_and_is_deterministic() {
     let nta = schema.nta();
     let t = random_transducer(&schema.alpha, 2, 0.8, 42);
     let labels: Vec<Symbol> = schema.alpha.symbols().collect();
+    let mut b = DtlBuilder::new(&schema.alpha, "q0");
+    for (_, label) in schema.alpha.entries() {
+        b.rule_simple("q0", label, label, "q0", "child");
+    }
+    b.text_rule("q0");
+    let identity_dtl = b.finish();
     let mut verdicts_by_jobs: Vec<Vec<(&'static str, bool)>> = Vec::new();
     for jobs in [1usize, 2, 4] {
         let engine = Engine::with_jobs(jobs);
         let preservation = TopdownDecider::new(&t);
         let retention = TextRetentionDecider::new(&t, labels.clone());
         let conformance = OutputConformanceDecider::new(&t, &nta);
+        let dtl = DtlDecider::new(&identity_dtl);
         let tasks: Vec<Task> = vec![
             (&preservation as &dyn Decider, &nta),
             (&retention as &dyn Decider, &nta),
             (&conformance as &dyn Decider, &nta),
+            (&dtl as &dyn Decider, &nta),
         ];
         let results = engine.check_many_governed(&tasks, &CheckOptions::unlimited());
         let verdicts: Vec<Verdict> = results
@@ -199,17 +210,23 @@ fn mixed_analysis_batch_compiles_shared_artifacts_once_and_is_deterministic() {
         assert_eq!(verdicts[0].analysis, TEXT_PRESERVATION);
         assert_eq!(verdicts[1].analysis, TEXT_RETENTION);
         assert_eq!(verdicts[2].analysis, OUTPUT_CONFORMANCE);
-        // The batch needs exactly four distinct artifacts: the schema
-        // bundle (shared by preservation and retention), the two
-        // transducer-side bundles, and the conformance inverse. Each
+        assert_eq!(verdicts[3].analysis, TEXT_PRESERVATION);
+        assert!(
+            verdicts[3].is_preserving(),
+            "the identity DTL preserves text"
+        );
+        // The batch needs exactly six distinct artifacts: the top-down
+        // schema bundle (shared by preservation and retention), the two
+        // top-down transducer-side bundles, the conformance inverse, and
+        // the DTL schema NBTA and counter-example automaton. Each
         // compiles exactly once; every per-check stage report is a hit
         // because the prefetch tasks own the misses.
         let stats = engine.cache_stats();
         assert_eq!(
-            stats.misses, 4,
+            stats.misses, 6,
             "jobs {jobs}: shared artifacts must compile exactly once"
         );
-        assert_eq!(stats.entries, 4, "jobs {jobs}");
+        assert_eq!(stats.entries, 6, "jobs {jobs}");
         for v in &verdicts {
             for s in v.stats.stages.iter().filter(|s| s.cache_hit.is_some()) {
                 assert_eq!(
