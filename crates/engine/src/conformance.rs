@@ -1,8 +1,7 @@
-//! The output-conformance decider: a governed, staged, traced wrapper
-//! around `tpx_topdown::conformance` — *does `T(L(S))` stay inside a
-//! target schema `D`?*
+//! The output-conformance decider over `tpx_topdown::conformance` — *does
+//! `T(L(S))` stay inside a target schema `D`?*
 //!
-//! Pipeline stages:
+//! Pipeline stages (run by the engine's driver, [`crate::pipeline`]):
 //!
 //! | stage                 | cached | keyed by |
 //! |-----------------------|--------|----------|
@@ -15,14 +14,11 @@
 //! alphabet width is part of the key because symbols outside the
 //! transducer's alphabet still shape types (they transform to `ε`).
 
-use std::time::Instant;
-
 use crate::analysis::{Analysis, OUTPUT_CONFORMANCE};
-use crate::budget::{CheckOptions, DecisionError};
-use crate::cache::ArtifactCache;
-use crate::decider::{governed_stage, uncached_stage, Decider, StageCtx, StageKey};
-use crate::verdict::{CheckStats, Outcome, StageReport, Verdict};
-use tpx_obs::{SpanFields, Tracer};
+use crate::budget::DecisionError;
+use crate::decider::Decider;
+use crate::pipeline::{CachedStage, Pipeline, Stage, StageKey};
+use crate::verdict::Outcome;
 use tpx_topdown::{
     compile_conformance_artifacts, conformance_witness_with, ConformanceArtifacts, Transducer,
 };
@@ -56,21 +52,24 @@ impl<'a> OutputConformanceDecider<'a> {
         self.target
     }
 
-    /// The alphabet width the inverse artifact must cover for `schema`.
-    fn n_symbols(&self, schema: &Nta) -> usize {
-        self.t
+    /// The `conformance/inverse` stage: the "bad input trees" NTA, keyed
+    /// by (transducer, target, |Σ|) where `|Σ|` also covers `schema`'s
+    /// alphabet.
+    fn inverse_stage(&self, schema: &Nta) -> Stage<'_, ConformanceArtifacts> {
+        let n_symbols = self
+            .t
             .symbol_count()
             .max(self.target.symbol_count())
-            .max(schema.symbol_count())
-    }
-
-    /// The `conformance/inverse` cache key: (transducer, target, |Σ|).
-    fn inverse_key(&self, n_symbols: usize) -> u64 {
+            .max(schema.symbol_count());
         let mut h = StableHasher::new();
         h.write_u64(self.t_key);
         h.write_u64(self.target_key);
         h.write_usize(n_symbols);
-        h.finish()
+        Stage::new(
+            StageKey::of(OUTPUT_CONFORMANCE, "conformance/inverse", h.finish()),
+            ConformanceArtifacts::size,
+            move |budget, _| compile_conformance_artifacts(self.t, self.target, n_symbols, budget),
+        )
     }
 }
 
@@ -83,126 +82,33 @@ impl Decider for OutputConformanceDecider<'_> {
         OUTPUT_CONFORMANCE
     }
 
-    fn artifact_stages(&self, schema: &Nta) -> Vec<StageKey> {
-        vec![StageKey::of(
-            OUTPUT_CONFORMANCE,
-            "conformance/inverse",
-            self.inverse_key(self.n_symbols(schema)),
-        )]
+    fn stages<'s>(&'s self, schema: &'s Nta) -> Vec<Box<dyn CachedStage + 's>> {
+        vec![Box::new(self.inverse_stage(schema))]
     }
 
-    fn prefetch_stage(
-        &self,
-        stage: StageKey,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<StageReport, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let mut ctx = StageCtx {
-            stats: &mut stats,
-            budget: &budget,
-            tracer,
-        };
-        match stage.kind {
-            "conformance/inverse" => {
-                let n_symbols = self.n_symbols(schema);
-                governed_stage(
-                    cache,
-                    stage,
-                    ConformanceArtifacts::size,
-                    || {
-                        compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
-                            .map_err(|b| DecisionError::exhausted("conformance/inverse", b))
-                    },
-                    &mut ctx,
-                )?;
-            }
-            _ => {
-                return Err(DecisionError::Internal(format!(
-                    "conformance decider has no stage {:?}",
-                    stage.kind
-                )))
-            }
-        }
-        stats
-            .stages
-            .pop()
-            .ok_or_else(|| DecisionError::Internal("prefetched stage left no report".into()))
-    }
-
-    fn check(
-        &self,
-        schema: &Nta,
-        cache: &ArtifactCache,
-        options: &CheckOptions,
-        tracer: &Tracer,
-    ) -> Result<Verdict, DecisionError> {
-        let budget = options.budget.start();
-        let mut stats = CheckStats::default();
-        let n_symbols = self.n_symbols(schema);
-        let inverse = governed_stage(
-            cache,
-            StageKey::of(
-                OUTPUT_CONFORMANCE,
-                "conformance/inverse",
-                self.inverse_key(n_symbols),
-            ),
-            ConformanceArtifacts::size,
-            || {
-                compile_conformance_artifacts(self.t, self.target, n_symbols, &budget)
-                    .map_err(|b| DecisionError::exhausted("conformance/inverse", b))
-            },
-            &mut StageCtx {
-                stats: &mut stats,
-                budget: &budget,
-                tracer,
-            },
-        )?;
-        let start = Instant::now();
-        let fuel_before = budget.fuel_spent();
-        let span = tracer.span("conformance/decide");
-        let witness = conformance_witness_with(&inverse, schema, &budget)
-            .map_err(|b| DecisionError::exhausted("conformance/decide", b))?;
-        span.exit_with(SpanFields::new().fuel(budget.fuel_spent() - fuel_before));
-        uncached_stage(
-            "conformance/decide",
-            start,
-            fuel_before,
-            &mut stats,
-            &budget,
-        );
-        let outcome = match witness {
+    fn decide(&self, schema: &Nta, pipeline: &mut Pipeline<'_>) -> Result<Outcome, DecisionError> {
+        let inverse = pipeline.stage(&self.inverse_stage(schema))?;
+        let witness = pipeline.step("conformance/decide", |budget, _| {
+            conformance_witness_with(&inverse, schema, budget)
+        })?;
+        Ok(match witness {
             None => Outcome::Preserving,
             Some(witness) => Outcome::NonConforming { witness },
-        };
-        #[cfg(debug_assertions)]
-        validate_conformance_outcome(self.t, schema, self.target, &outcome);
-        Ok(Verdict {
-            decider: self.name(),
-            analysis: self.analysis(),
-            outcome,
-            stats,
-            degraded: None,
         })
     }
-}
 
-/// Debug-build witness validation: a non-conformance witness must be a
-/// schema tree whose image the per-tree semantic oracle confirms to
-/// violate the target.
-#[cfg(debug_assertions)]
-fn validate_conformance_outcome(t: &Transducer, schema: &Nta, target: &Nta, outcome: &Outcome) {
-    if let Outcome::NonConforming { witness } = outcome {
-        debug_assert!(
-            schema.accepts(witness),
-            "conformance decider: witness outside the schema"
-        );
-        debug_assert!(
-            !tpx_topdown::conforms_on(t, witness, target),
-            "conformance decider: witness image conforms to the target"
-        );
+    /// A non-conformance witness must be a schema tree whose image the
+    /// per-tree semantic oracle confirms to violate the target.
+    fn validate(&self, schema: &Nta, outcome: &Outcome) {
+        if let Outcome::NonConforming { witness } = outcome {
+            debug_assert!(
+                schema.accepts(witness),
+                "conformance decider: witness outside the schema"
+            );
+            debug_assert!(
+                !tpx_topdown::conforms_on(self.t, witness, self.target),
+                "conformance decider: witness image conforms to the target"
+            );
+        }
     }
 }

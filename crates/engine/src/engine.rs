@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use crate::budget::{CheckOptions, DecisionError};
 use crate::cache::{panic_message, ArtifactCache, CacheStats};
-use crate::decider::{Decider, StageKey};
+use crate::decider::Decider;
+use crate::pipeline::{self, CachedStage, StageKey};
 use crate::scheduler::{execute, StageGraph};
 use crate::verdict::{StageReport, Verdict};
 use tpx_obs::{Metrics, Tracer};
@@ -162,7 +163,7 @@ impl Engine {
     ) -> Result<Verdict, DecisionError> {
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            decider.check(schema, &self.cache, options, &self.tracer)
+            pipeline::check(decider, schema, &self.cache, options, &self.tracer)
         }))
         .unwrap_or_else(|payload| {
             Err(DecisionError::Panicked {
@@ -177,7 +178,7 @@ impl Engine {
     /// Runs every task, returning verdicts in task order.
     ///
     /// Batches run as a *stage graph*: the distinct artifact stages the
-    /// tasks declare (via [`Decider::artifact_stages`]) are deduplicated
+    /// tasks declare (via [`Decider::stages`]) are deduplicated
     /// batch-wide and scheduled as their own prefetch tasks, and each
     /// check becomes a finalize task that starts once its stages are
     /// built. Two checks sharing a schema therefore contend on exactly
@@ -218,17 +219,17 @@ impl Engine {
         let jobs = self.jobs().min(tasks.len().max(1)).min(host);
 
         // Deduplicate the declared artifact stages batch-wide. Stage node
-        // `i` prefetches `stage_nodes[i].0` on behalf of the first task
-        // that declared it; every declaring task's finalize node depends
-        // on it.
+        // `i` prefetches `stage_nodes[i]`, the description of the first
+        // task that declared it; every declaring task's finalize node
+        // depends on it.
         let mut stage_index: HashMap<StageKey, usize> = HashMap::new();
-        let mut stage_nodes: Vec<(StageKey, usize)> = Vec::new();
+        let mut stage_nodes: Vec<Box<dyn CachedStage + '_>> = Vec::new();
         let mut task_deps: Vec<Vec<usize>> = Vec::with_capacity(tasks.len());
-        for (t, (decider, schema)) in tasks.iter().enumerate() {
+        for (decider, schema) in tasks {
             let mut deps = Vec::new();
-            for stage in decider.artifact_stages(schema) {
-                let node = *stage_index.entry(stage).or_insert_with(|| {
-                    stage_nodes.push((stage, t));
+            for stage in decider.stages(schema) {
+                let node = *stage_index.entry(stage.key()).or_insert_with(|| {
+                    stage_nodes.push(stage);
                     stage_nodes.len() - 1
                 });
                 if !deps.contains(&node) {
@@ -263,15 +264,17 @@ impl Engine {
         let stats = execute(&graph, jobs, |node, worker| {
             let metrics = &worker_metrics[worker];
             if node < n_stages {
-                let (stage, owner) = stage_nodes[node];
-                let (decider, schema) = tasks[owner];
                 // Panic-isolated like checks; a lost prefetch only costs
                 // the overlap (the finalize rebuilds under its budget).
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    decider.prefetch_stage(stage, schema, &self.cache, options, &self.tracer)
+                    pipeline::prefetch(&*stage_nodes[node], &self.cache, options, &self.tracer)
                 }));
                 match outcome {
-                    Ok(Ok(report)) => record_stage_metrics(metrics, &report),
+                    Ok(Ok(stats)) => {
+                        for s in &stats.stages {
+                            record_stage_metrics(metrics, s);
+                        }
+                    }
                     Ok(Err(_)) | Err(_) => metrics.incr("engine/prefetch/failed"),
                 }
             } else {

@@ -47,6 +47,7 @@ pub mod cache;
 pub mod conformance;
 pub mod decider;
 mod engine;
+pub mod pipeline;
 pub mod retention;
 pub mod scheduler;
 pub mod verdict;
@@ -60,8 +61,9 @@ pub use budget::{
 };
 pub use cache::{ArtifactCache, CacheError, CacheStats};
 pub use conformance::OutputConformanceDecider;
-pub use decider::{Decider, DtlDecider, StageKey, TopdownDecider};
+pub use decider::{Decider, DtlDecider, TopdownDecider};
 pub use engine::{BatchStats, Engine, Task};
+pub use pipeline::{CachedStage, Pipeline, Stage, StageError, StageKey};
 pub use retention::TextRetentionDecider;
 pub use scheduler::{RunStats, StageGraph};
 pub use tpx_obs::{Metrics, MetricsSnapshot, Span, SpanFields, TraceEvent, Tracer};

@@ -300,13 +300,11 @@ impl Decider for PanickingDecider {
         "panicking"
     }
 
-    fn check(
+    fn decide(
         &self,
         _schema: &Nta,
-        _cache: &ArtifactCache,
-        _options: &CheckOptions,
-        _tracer: &tpx_engine::Tracer,
-    ) -> Result<Verdict, DecisionError> {
+        _pipeline: &mut tpx_engine::Pipeline<'_>,
+    ) -> Result<Outcome, DecisionError> {
         panic!("decider blew up on this instance");
     }
 }
