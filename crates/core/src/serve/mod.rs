@@ -162,6 +162,22 @@ enum PreparedKind {
     Conformance { t: Transducer, target: Nta },
 }
 
+impl PreparedKind {
+    /// The engine decider that runs this prepared check.
+    fn decider(&self) -> Box<dyn Decider + '_> {
+        match self {
+            PreparedKind::Topdown(t) => Box::new(TopdownDecider::new(t)),
+            PreparedKind::Dtl(t) => Box::new(DtlDecider::new(t)),
+            PreparedKind::Retention { t, labels } => {
+                Box::new(TextRetentionDecider::new(t, labels.clone()))
+            }
+            PreparedKind::Conformance { t, target } => {
+                Box::new(OutputConformanceDecider::new(t, target))
+            }
+        }
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
     engine: Engine,
@@ -269,83 +285,48 @@ impl Shared {
         // shortcuts re-requests of the identical (analysis, sources)
         // triple, the artifact survives memo resets and is shared across
         // analyses.
-        if tpx_xslt::is_stylesheet(&t_src) {
+        let (mut alpha, schema, resolved) = if tpx_xslt::is_stylesheet(&t_src) {
             let artifact =
                 crate::frontend::compile_stylesheet_cached(&self.engine, &schema_src, &t_src)
                     .map_err(|e| self.bad_request(format!("transducer: {e}")))?;
-            let mut alpha = artifact.alpha.clone();
-            let kind = match &req.analysis {
-                AnalysisRequest::TextPreservation => {
-                    PreparedKind::Topdown(artifact.transducer.clone())
+            (
+                artifact.alpha.clone(),
+                artifact.schema.clone(),
+                PreparedKind::Topdown(artifact.transducer.clone()),
+            )
+        } else {
+            let mut alpha = Alphabet::new();
+            let schema = parse_schema(&schema_src, &mut alpha)
+                .map_err(|e| self.bad_request(format!("schema: {e}")))?
+                .to_nta();
+            let needs_topdown = |analysis: &str| {
+                self.bad_request(format!(
+                    "analysis {analysis} needs a top-down transducer, got a dtl program"
+                ))
+            };
+            let resolved = match (&req.analysis, is_dtl_transducer(&t_src)) {
+                (_, false) => PreparedKind::Topdown(
+                    parse_transducer(&t_src, &alpha)
+                        .map_err(|e| self.bad_request(format!("transducer: {e}")))?,
+                ),
+                (AnalysisRequest::TextPreservation, true) => PreparedKind::Dtl(
+                    parse_dtl_transducer(&t_src, &alpha)
+                        .map_err(|e| self.bad_request(format!("transducer: {e}")))?,
+                ),
+                (AnalysisRequest::TextRetention { .. }, true) => {
+                    return Err(needs_topdown("text-retention"))
                 }
-                AnalysisRequest::TextRetention { labels } => {
-                    let labels = labels
-                        .iter()
-                        .map(|l| {
-                            alpha.get(l).ok_or_else(|| {
-                                self.bad_request(format!(
-                                    "label {l:?} is not in the schema alphabet"
-                                ))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    PreparedKind::Retention {
-                        t: artifact.transducer.clone(),
-                        labels,
-                    }
-                }
-                AnalysisRequest::Conformance { .. } => {
-                    let target =
-                        parse_schema(target_src.as_ref().expect("resolved above"), &mut alpha)
-                            .map_err(|e| self.bad_request(format!("target: {e}")))?
-                            .to_nta();
-                    PreparedKind::Conformance {
-                        t: artifact.transducer.clone(),
-                        target,
-                    }
+                (AnalysisRequest::Conformance { .. }, true) => {
+                    return Err(needs_topdown("conformance"))
                 }
             };
-            let prepared = Arc::new(Prepared {
-                alpha,
-                schema: artifact.schema.clone(),
-                kind,
-            });
-            let mut memo = lock(&self.memo);
-            if memo.len() >= self.cfg.memo_cap && !memo.contains_key(&key) {
-                memo.clear();
-            }
-            memo.insert(key, Arc::clone(&prepared));
-            return Ok(prepared);
-        }
-        let mut alpha = Alphabet::new();
-        let dtd = parse_schema(&schema_src, &mut alpha)
-            .map_err(|e| self.bad_request(format!("schema: {e}")))?;
-        let schema = dtd.to_nta();
-        let parse_topdown = |analysis: &str, alpha: &Alphabet| -> Result<Transducer, ErrorInfo> {
-            if is_dtl_transducer(&t_src) {
-                return Err(self.bad_request(format!(
-                    "analysis {analysis} needs a top-down transducer, got a dtl program"
-                )));
-            }
-            parse_transducer(&t_src, alpha)
-                .map_err(|e| self.bad_request(format!("transducer: {e}")))
+            (alpha, schema, resolved)
         };
-        let kind = match &req.analysis {
-            AnalysisRequest::TextPreservation => {
-                if is_dtl_transducer(&t_src) {
-                    PreparedKind::Dtl(
-                        parse_dtl_transducer(&t_src, &alpha)
-                            .map_err(|e| self.bad_request(format!("transducer: {e}")))?,
-                    )
-                } else {
-                    PreparedKind::Topdown(
-                        parse_transducer(&t_src, &alpha)
-                            .map_err(|e| self.bad_request(format!("transducer: {e}")))?,
-                    )
-                }
-            }
-            AnalysisRequest::TextRetention { labels } => {
-                let t = parse_topdown("text-retention", &alpha)?;
+        // The source resolves to a text-preservation kind (a DTL program
+        // only under that analysis); the other analyses wrap its top-down
+        // transducer.
+        let kind = match (&req.analysis, resolved) {
+            (AnalysisRequest::TextRetention { labels }, PreparedKind::Topdown(t)) => {
                 let labels = labels
                     .iter()
                     .map(|l| {
@@ -356,8 +337,7 @@ impl Shared {
                     .collect::<Result<Vec<_>, _>>()?;
                 PreparedKind::Retention { t, labels }
             }
-            AnalysisRequest::Conformance { .. } => {
-                let t = parse_topdown("conformance", &alpha)?;
+            (AnalysisRequest::Conformance { .. }, PreparedKind::Topdown(t)) => {
                 // The target is parsed into the *same* alphabet so its
                 // symbols line up with the transducer's output labels.
                 let target = parse_schema(target_src.as_ref().expect("resolved above"), &mut alpha)
@@ -365,6 +345,7 @@ impl Shared {
                     .to_nta();
                 PreparedKind::Conformance { t, target }
             }
+            (_, kind) => kind,
         };
         let prepared = Arc::new(Prepared {
             alpha,
@@ -411,26 +392,8 @@ impl Shared {
     }
 
     fn run_prepared(&self, p: &Prepared, options: &CheckOptions) -> Result<Verdict, DecisionError> {
-        match &p.kind {
-            PreparedKind::Topdown(t) => {
-                self.engine
-                    .check_governed(&TopdownDecider::new(t), &p.schema, options)
-            }
-            PreparedKind::Dtl(t) => {
-                self.engine
-                    .check_governed(&DtlDecider::new(t), &p.schema, options)
-            }
-            PreparedKind::Retention { t, labels } => self.engine.check_governed(
-                &TextRetentionDecider::new(t, labels.clone()),
-                &p.schema,
-                options,
-            ),
-            PreparedKind::Conformance { t, target } => self.engine.check_governed(
-                &OutputConformanceDecider::new(t, target),
-                &p.schema,
-                options,
-            ),
-        }
+        self.engine
+            .check_governed(&*p.kind.decider(), &p.schema, options)
     }
 
     fn handle_check(&self, req: &CheckRequest) -> ResponseBody {
@@ -472,17 +435,7 @@ impl Shared {
             .iter()
             .filter_map(|p| p.as_ref().ok().map(Arc::as_ref))
             .collect();
-        let deciders: Vec<Box<dyn Decider + '_>> = ok
-            .iter()
-            .map(|p| -> Box<dyn Decider + '_> {
-                match &p.kind {
-                    PreparedKind::Topdown(t) => Box::new(TopdownDecider::new(t)),
-                    PreparedKind::Dtl(t) => Box::new(DtlDecider::new(t)),
-                    // `prepare` was called with TextPreservation above.
-                    _ => unreachable!("batch prepares text-preservation only"),
-                }
-            })
-            .collect();
+        let deciders: Vec<Box<dyn Decider + '_>> = ok.iter().map(|p| p.kind.decider()).collect();
         let tasks: Vec<Task<'_>> = deciders
             .iter()
             .zip(&ok)
