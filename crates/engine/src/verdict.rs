@@ -66,14 +66,6 @@ impl Outcome {
             _ => None,
         }
     }
-
-    /// The witness path, when the outcome carries one.
-    pub fn witness_path(&self) -> Option<&[PathSym]> {
-        match self {
-            Outcome::Copying { path } | Outcome::DeletesText { path } => Some(path),
-            _ => None,
-        }
-    }
 }
 
 impl From<CheckReport> for Outcome {

@@ -62,12 +62,6 @@ impl Assignment {
         self.fo.insert(v, node);
         self
     }
-
-    /// Binds `v ↦ set`.
-    pub fn bind_set(mut self, v: SetVar, set: impl IntoIterator<Item = NodeId>) -> Self {
-        self.so.insert(v, set.into_iter().collect());
-        self
-    }
 }
 
 /// Evaluates `φ` on `h` under `asg`. All free variables must be bound.

@@ -61,11 +61,6 @@ impl VarGen {
     pub fn reserve(&mut self, v: Var) {
         self.next_fo = self.next_fo.max(v.0 + 1);
     }
-
-    /// Reserves ids so fresh set variables never collide with `v`.
-    pub fn reserve_set(&mut self, v: SetVar) {
-        self.next_so = self.next_so.max(v.0 + 1);
-    }
 }
 
 /// An MSO formula. Constructors below keep the usual precedence readable.
@@ -155,11 +150,6 @@ impl Formula {
     /// `∀x φ`.
     pub fn forall(v: Var, body: Formula) -> Formula {
         Formula::ForallFo(v, Box::new(body))
-    }
-
-    /// `∃X φ`.
-    pub fn exists_set(v: SetVar, body: Formula) -> Formula {
-        Formula::ExistsSo(v, Box::new(body))
     }
 
     /// `∀X φ`.

@@ -11,7 +11,7 @@
 //!
 //! Both are NFAs over `Σ ⊎ {text}` accepting only strings ending in `text`.
 
-use crate::transducer::{frontier_states, TdState, Transducer};
+use crate::transducer::{frontier_states, Transducer};
 use tpx_automata::{Nfa, StateId};
 use tpx_treeauto::Nta;
 use tpx_trees::budget::BudgetHandle;
@@ -135,21 +135,6 @@ pub fn path_automaton_transducer(t: &Transducer) -> Nfa<PathSym> {
         }
     }
     nfa
-}
-
-/// Occurrence counts of each state on the frontier of `rhs(q, a)` — used by
-/// the copying decider for condition (2) of Lemma 4.5.
-pub fn frontier_multiplicity(t: &Transducer, q: TdState, a: Symbol) -> Vec<(TdState, usize)> {
-    let Some(rhs) = t.rhs(q, a) else {
-        return Vec::new();
-    };
-    let mut counts: std::collections::HashMap<TdState, usize> = std::collections::HashMap::new();
-    for p in frontier_states(rhs) {
-        *counts.entry(p).or_insert(0) += 1;
-    }
-    let mut out: Vec<_> = counts.into_iter().collect();
-    out.sort_by_key(|&(p, _)| p);
-    out
 }
 
 #[cfg(test)]

@@ -260,17 +260,6 @@ impl Hedge {
         out
     }
 
-    /// Nodes of the subtree rooted at `v`, in document order.
-    pub fn dfs_from(&self, v: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![v];
-        while let Some(u) = stack.pop() {
-            out.push(u);
-            stack.extend(self.children(u).iter().rev());
-        }
-        out
-    }
-
     /// Whether `anc` is an ancestor of `v` (proper or reflexive per `strict`).
     pub fn is_ancestor(&self, anc: NodeId, v: NodeId, strict: bool) -> bool {
         if anc == v {
