@@ -11,8 +11,8 @@
 //!
 //! The alphabet dance matters: a stylesheet's literal result elements may
 //! introduce labels the schema never mentions. [`compile_stylesheet`]
-//! parses the schema first (interning its labels), compiles the stylesheet
-//! (interning the literals), then re-parses the schema so the NTA is built
+//! parses the schema once (interning its labels), compiles the stylesheet
+//! (interning the literals), then widens the parsed DTD so the NTA is built
 //! at the final alphabet width — the width the transducer was built at.
 
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use crate::format::parse_schema;
 pub const XSLT_COMPILE_STAGE: &str = "xslt/compile";
 
 /// A stylesheet compiled against a schema: the common alphabet, the schema
-/// NTA re-built at the final alphabet width, and the transducer (plus the
+/// NTA built at the final alphabet width, and the transducer (plus the
 /// DTL rendering when the stylesheet is `DTL_XPath`-expressible).
 #[derive(Clone, Debug)]
 pub struct XsltArtifact {
@@ -58,21 +58,18 @@ pub fn untranslatable(diags: &[Diagnostic]) -> String {
 /// transducer that only approximates the stylesheet.
 pub fn compile_stylesheet(schema_src: &str, xslt_src: &str) -> Result<XsltArtifact, String> {
     let mut alpha = Alphabet::new();
-    parse_schema(schema_src, &mut alpha).map_err(|e| format!("schema: {e}"))?;
+    let mut dtd = parse_schema(schema_src, &mut alpha).map_err(|e| format!("schema: {e}"))?;
     let compiled =
         tpx_xslt::compile(xslt_src, &mut alpha).map_err(|e| format!("stylesheet: {e}"))?;
     if !compiled.diagnostics.is_empty() {
         return Err(untranslatable(&compiled.diagnostics));
     }
-    // Literal result elements may have extended the alphabet; re-parse the
-    // schema (interning is idempotent) so the NTA matches the transducer's
-    // symbol width.
-    let schema = parse_schema(schema_src, &mut alpha)
-        .expect("schema parsed once already")
-        .to_nta();
+    // Literal result elements may have extended the alphabet; widen the
+    // parsed DTD so the NTA matches the transducer's symbol width.
+    dtd.widen(alpha.len());
     Ok(XsltArtifact {
         alpha,
-        schema,
+        schema: dtd.to_nta(),
         transducer: compiled.transducer,
         dtl: compiled.dtl,
     })
@@ -134,6 +131,34 @@ mod tests {
         assert!(a.alpha.get("wrapper").is_some());
         assert_eq!(a.schema.symbol_count(), a.alpha.len());
         assert_eq!(a.transducer.symbol_count(), a.alpha.len());
+    }
+
+    /// The widened single parse builds the NTA a second parse at the final
+    /// alphabet would: same structural hash, same size, on every E11 pair.
+    #[test]
+    fn widened_schema_matches_a_parse_at_the_final_alphabet() {
+        let mut widened = 0;
+        for seed in [1, 7] {
+            for case in tpx_workload::xslt_corpus(1000, seed) {
+                let a = compile_stylesheet(&case.schema_src, &case.xslt_src).expect(&case.name);
+                let mut alpha = a.alpha.clone();
+                let reparsed = parse_schema(&case.schema_src, &mut alpha)
+                    .expect(&case.name)
+                    .to_nta();
+                assert_eq!(alpha.len(), a.alpha.len(), "{}", case.name);
+                assert_eq!(
+                    (tpx_trees::stable_hash_of(&a.schema), a.schema.size()),
+                    (tpx_trees::stable_hash_of(&reparsed), reparsed.size()),
+                    "{}: widened schema NTA differs from a parse at the final alphabet",
+                    case.name
+                );
+                let mut schema_only = Alphabet::new();
+                parse_schema(&case.schema_src, &mut schema_only).expect(&case.name);
+                widened += usize::from(schema_only.len() < a.alpha.len());
+            }
+        }
+        // Stylesheet literals extend the alphabet in a share of the pairs.
+        assert!(widened > 0, "no compile extended the alphabet");
     }
 
     #[test]

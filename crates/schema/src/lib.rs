@@ -61,6 +61,20 @@ impl Dtd {
         self.n_symbols
     }
 
+    /// Widens the DTD to an alphabet of `n_symbols ≥ symbol_count()` labels:
+    /// the new labels get no content model, so the language is unchanged,
+    /// and [`Dtd::to_nta`] then places its text state at the new width.
+    pub fn widen(&mut self, n_symbols: usize) {
+        assert!(
+            n_symbols >= self.n_symbols,
+            "a DTD cannot be narrowed ({} → {n_symbols} labels)",
+            self.n_symbols
+        );
+        self.n_symbols = n_symbols;
+        self.content.resize(n_symbols, None);
+        self.compiled.resize(n_symbols, None);
+    }
+
     /// Adds a start symbol.
     pub fn add_start(&mut self, s: Symbol) {
         if !self.starts.contains(&s) {
@@ -386,6 +400,7 @@ impl DtdBuilder {
 mod tests {
     use super::*;
     use tpx_trees::budget::BudgetHandle;
+    use tpx_trees::stable_hash_of;
     use tpx_trees::term::parse_tree;
 
     fn alpha() -> Alphabet {
@@ -400,6 +415,37 @@ mod tests {
         b.elem("p", "text");
         b.elem("note", "text?");
         b.finish()
+    }
+
+    #[test]
+    fn widen_appends_empty_labels_and_moves_the_text_state() {
+        let al = alpha();
+        let mut d = dtd(&al);
+        let before = d.clone();
+        d.widen(al.len());
+        assert_eq!(
+            stable_hash_of(&d.to_nta()),
+            stable_hash_of(&before.to_nta()),
+            "widening to the same width is a no-op"
+        );
+        let mut wide_al = al.clone();
+        wide_al.intern("wrapper");
+        wide_al.intern("extra");
+        d.widen(wide_al.len());
+        assert_eq!(d.symbol_count(), 6);
+        for s in al.symbols() {
+            assert_eq!(d.content(s), before.content(s), "content of {s:?} moved");
+        }
+        assert!(d.content(wide_al.sym("wrapper")).is_none());
+        assert_eq!(d.starts(), before.starts());
+        let nta = d.to_nta();
+        assert_eq!(nta.state_count(), 7);
+        assert!(nta.text_ok(State(6)) && !nta.text_ok(State(4)));
+        // The same NTA a DTD built over the wide alphabet compiles to.
+        assert_eq!(
+            stable_hash_of(&nta),
+            stable_hash_of(&dtd(&wide_al).to_nta())
+        );
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! discovers them all (budget-charged per new type, product and
 //! transition), and the **bad NTA** — trees whose image violates `D`,
 //! i.e. `¬τ_t(q₀).conforms` — falls out directly. A violation witness is
-//! then a tree of `L(S) ∩ L(bad)`, found with the existing governed
-//! intersect/trim/witness pipeline.
+//! then a tree of `L(S) ∩ L(bad)`, found with the governed
+//! product witness search (`Nta::intersect_witness`), which never builds
+//! the product.
 
 use std::collections::HashMap;
 
@@ -447,8 +448,8 @@ pub fn compile_conformance_artifacts(
 
 /// The decision stage of the conformance analysis over a precompiled
 /// artifact: a schema tree whose image violates the target, or `None` when
-/// `T(L(schema)) ⊆ L(target)`. Runs the governed intersect → trim →
-/// witness pipeline under the caller's budget.
+/// `T(L(schema)) ⊆ L(target)`. Runs the governed product witness search
+/// ([`Nta::intersect_witness`]) under the caller's budget.
 pub fn conformance_witness_with(
     art: &ConformanceArtifacts,
     schema: &Nta,
@@ -467,8 +468,7 @@ pub fn conformance_witness_with(
         );
         schema
     };
-    let product = art.bad.intersect(schema, budget)?.trim(budget)?;
-    product.witness(budget)
+    art.bad.intersect_witness(schema, budget)
 }
 
 /// Widens an NTA to a larger alphabet (new symbols get no content rules).

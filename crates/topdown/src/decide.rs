@@ -201,20 +201,15 @@ pub fn copying_witness_with(
 }
 
 /// Stage 2 (rearranging): the Lemma 4.10 emptiness test over the
-/// precompiled rearranging NTA.
-///
-/// The product, trim, and witness search all run under the same
-/// fuel/deadline budget.
+/// precompiled rearranging NTA — a witness search of `M ∩ N` that visits
+/// only the product pairs `M` and the schema reach together, under the
+/// caller's fuel/deadline budget.
 pub fn rearranging_witness_with(
     transducer: &TransducerArtifacts,
     nta: &Nta,
     budget: &BudgetHandle,
 ) -> Result<Option<Tree>, BudgetExceeded> {
-    let product = transducer
-        .rearranging
-        .intersect(nta, budget)?
-        .trim(budget)?;
-    product.witness(budget)
+    transducer.rearranging.intersect_witness(nta, budget)
 }
 
 /// Stage 3: the Theorem 4.11 verdict over precompiled artifacts.
@@ -277,11 +272,9 @@ pub fn copying_witness(t: &Transducer, nta: &Nta) -> Option<Vec<PathSym>> {
 /// tree. PTIME. One-shot convenience over the staged pipeline.
 pub fn rearranging_witness(t: &Transducer, nta: &Nta) -> Option<Tree> {
     let budget = BudgetHandle::unlimited();
-    let product = rearranging_nta(t, &budget)
-        .and_then(|m| m.intersect(nta, &budget))
-        .and_then(|p| p.trim(&budget))
-        .expect("unlimited budget");
-    product.witness(&budget).expect("unlimited budget")
+    rearranging_nta(t, &budget)
+        .and_then(|m| m.intersect_witness(nta, &budget))
+        .expect("unlimited budget")
 }
 
 /// Simulates two copies of `a_t` in lock-step, accepting iff both accept

@@ -18,6 +18,7 @@ use std::fmt;
 
 use tpx_automata::{Nfa, StateId};
 use tpx_trees::budget::{BudgetExceeded, BudgetHandle};
+use tpx_trees::hash::FxHashMap;
 use tpx_trees::{Alphabet, Hedge, NodeId, NodeLabel, Symbol, Tree};
 
 /// A tree-automaton state.
@@ -288,11 +289,87 @@ impl Nta {
             .unwrap_or_default()
     }
 
+    /// A tree in `L(self) ∩ L(other)`, or `None` when the intersection is
+    /// empty: exactly the tree `self.intersect(other)?.trim()?.witness()`
+    /// returns, found without building the product (DESIGN.md §13). Both
+    /// automata must be over the same alphabet size.
+    ///
+    /// Pairs `(q₁, q₂)` are numbered as they are found, starting from the
+    /// root pairs and following the joint transitions of each pair's
+    /// content products. Recipes then saturate by generations, as in
+    /// [`Nta::witness`]: generation `g` searches a pair's content products
+    /// breadth-first over the pairs inhabited before `g`. Generation 1
+    /// searches every pair; a later one only the pairs whose content reads
+    /// a pair inhabited in generation `g − 1`, since no other search can
+    /// change its answer. The search stops at the fixpoint, or as soon as
+    /// the first root pair is inhabited.
+    ///
+    /// Charges one fuel unit per pair found, per content-product state its
+    /// walk reaches, and per pair searched in a generation.
+    pub fn intersect_witness(
+        &self,
+        other: &Nta,
+        budget: &BudgetHandle,
+    ) -> Result<Option<Tree>, BudgetExceeded> {
+        assert_eq!(
+            self.n_symbols, other.n_symbols,
+            "intersection requires equal alphabets"
+        );
+        let mut search = PairSearch::new(self, other);
+        let roots: Vec<u32> = self
+            .roots
+            .iter()
+            .flat_map(|&r1| other.roots.iter().map(move |&r2| (r1, r2)))
+            .map(|(r1, r2)| search.intern(r1, r2))
+            .collect();
+        search.discover(budget)?;
+        let n = search.pairs.len();
+        // generation[x] = the generation that inhabited pair x (0: none yet).
+        let mut generation = vec![0u32; n];
+        let mut recipe: Vec<Option<Recipe>> = vec![None; n];
+        let mut candidates: Vec<u32> = (0..n as u32).collect();
+        let mut queued = vec![0u32; n];
+        for g in 1.. {
+            budget.charge(candidates.len() as u64)?;
+            let mut inhabited = Vec::new();
+            for &x in &candidates {
+                if generation[x as usize] == 0 {
+                    if let Some(r) = search.recipe(x, |y| (1..g).contains(&generation[y as usize]))
+                    {
+                        recipe[x as usize] = Some(r);
+                        generation[x as usize] = g;
+                        inhabited.push(x);
+                    }
+                }
+            }
+            if inhabited.is_empty() || roots.first().is_some_and(|&r| generation[r as usize] != 0) {
+                break;
+            }
+            candidates.clear();
+            for &x in &inhabited {
+                for &reader in &search.readers[x as usize] {
+                    if generation[reader as usize] == 0 && queued[reader as usize] != g {
+                        queued[reader as usize] = g;
+                        candidates.push(reader);
+                    }
+                }
+            }
+        }
+        let Some(&root) = roots.iter().find(|&&r| recipe[r as usize].is_some()) else {
+            return Ok(None);
+        };
+        let mut b = tpx_trees::HedgeBuilder::new();
+        let mut counter = 0usize;
+        build_witness(&recipe, State(root), &mut b, &mut counter);
+        Ok(b.finish_tree())
+    }
+
     /// Product automaton accepting `L(self) ∩ L(other)`. Both automata must
     /// be over the same alphabet size.
     ///
     /// Charges one fuel unit per product state constructed (the product is
-    /// built over the full `|Q₁|·|Q₂|` grid).
+    /// built over the full `|Q₁|·|Q₂|` grid) and one per state of each
+    /// content-model product built for it.
     pub fn intersect(&self, other: &Nta, budget: &BudgetHandle) -> Result<Nta, BudgetExceeded> {
         assert_eq!(
             self.n_symbols, other.n_symbols,
@@ -312,7 +389,7 @@ impl Nta {
                 for sym in 0..self.n_symbols {
                     let s = Symbol(sym as u32);
                     if let (Some(a1), Some(a2)) = (self.content(q1, s), other.content(q2, s)) {
-                        let prod = product_content(a1, a2, n2);
+                        let prod = product_content(a1, a2, n2, budget)?;
                         out.set_content(q, s, prod);
                     }
                 }
@@ -660,8 +737,14 @@ fn nfa_useful_symbols(nfa: &Nfa<State>, inhabited: &[bool]) -> Vec<State> {
 }
 
 /// Product of content models: accepts `(r₁,s₁)⋯(rₙ,sₙ)` (encoded as
-/// `r·n2 + s`) iff `r⃗ ∈ L(a1)` and `s⃗ ∈ L(a2)`.
-fn product_content(a1: &Nfa<State>, a2: &Nfa<State>, n2: u32) -> Nfa<State> {
+/// `r·n2 + s`) iff `r⃗ ∈ L(a1)` and `s⃗ ∈ L(a2)`. Charges one fuel unit per
+/// product state as it is expanded.
+fn product_content(
+    a1: &Nfa<State>,
+    a2: &Nfa<State>,
+    n2: u32,
+    budget: &BudgetHandle,
+) -> Result<Nfa<State>, BudgetExceeded> {
     let mut out = Nfa::new();
     let mut ids: HashMap<(StateId, StateId), StateId> = HashMap::new();
     let mut stack = Vec::new();
@@ -675,6 +758,7 @@ fn product_content(a1: &Nfa<State>, a2: &Nfa<State>, n2: u32) -> Nfa<State> {
         }
     }
     while let Some((p, q)) = stack.pop() {
+        budget.charge(1)?;
         let id = ids[&(p, q)];
         out.set_final(id, a1.is_final(p) && a2.is_final(q));
         for (r, p2) in a1.transitions_from(p) {
@@ -688,7 +772,179 @@ fn product_content(a1: &Nfa<State>, a2: &Nfa<State>, n2: u32) -> Nfa<State> {
             }
         }
     }
-    out
+    Ok(out)
+}
+
+/// The product pairs [`Nta::intersect_witness`] has found, numbered in the
+/// order found, plus the scratch tables of its content-product walks. A
+/// content-product state `(p₁, p₂)` of a walk over `a1 × a2` has the dense
+/// index `p₁·|a2| + p₂`.
+struct PairSearch<'a> {
+    left: &'a Nta,
+    right: &'a Nta,
+    /// Pair → id.
+    ids: FxHashMap<(State, State), u32>,
+    /// Id → pair.
+    pairs: Vec<(State, State)>,
+    /// Per pair: the pairs whose content products read it.
+    readers: Vec<Vec<u32>>,
+    /// Per content-product state: the number of the last walk that reached it.
+    seen: Vec<u32>,
+    /// Per content-product state reached by the current search: how it was
+    /// reached (predecessor index, pair read), `None` for an initial state.
+    pred: Vec<Option<(u32, u32)>>,
+    walks: u32,
+}
+
+impl<'a> PairSearch<'a> {
+    fn new(left: &'a Nta, right: &'a Nta) -> Self {
+        PairSearch {
+            left,
+            right,
+            ids: FxHashMap::default(),
+            pairs: Vec::new(),
+            readers: Vec::new(),
+            seen: Vec::new(),
+            pred: Vec::new(),
+            walks: 0,
+        }
+    }
+
+    fn intern(&mut self, q1: State, q2: State) -> u32 {
+        let next = self.pairs.len() as u32;
+        *self.ids.entry((q1, q2)).or_insert_with(|| {
+            self.pairs.push((q1, q2));
+            self.readers.push(Vec::new());
+            next
+        })
+    }
+
+    /// Starts a walk over a content product of `states` states.
+    fn begin_walk(&mut self, states: usize) {
+        self.walks += 1;
+        if self.seen.len() < states {
+            self.seen.resize(states, 0);
+            self.pred.resize(states, None);
+        }
+    }
+
+    /// Walks the content products of every pair found, from the root pairs
+    /// on, interning each pair a joint transition reads and noting its
+    /// reader.
+    fn discover(&mut self, budget: &BudgetHandle) -> Result<(), BudgetExceeded> {
+        let mut stack: Vec<(StateId, StateId)> = Vec::new();
+        let mut x = 0;
+        while x < self.pairs.len() as u32 {
+            budget.charge(1)?;
+            for (_, a1, a2) in joint_contents(self.left, self.right, self.pairs[x as usize]) {
+                let w = a2.state_count();
+                self.begin_walk(a1.state_count() * w);
+                for &p in a1.initial_states() {
+                    for &q in a2.initial_states() {
+                        self.reach(p.index() * w + q.index(), &mut stack, (p, q));
+                    }
+                }
+                let mut reached = 0;
+                while let Some((p, q)) = stack.pop() {
+                    reached += 1;
+                    for &(r, p2) in a1.transitions_from(p) {
+                        for &(s, q2) in a2.transitions_from(q) {
+                            let y = self.intern(r, s) as usize;
+                            if self.readers[y].last() != Some(&x) {
+                                self.readers[y].push(x);
+                            }
+                            self.reach(p2.index() * w + q2.index(), &mut stack, (p2, q2));
+                        }
+                    }
+                }
+                budget.charge(reached)?;
+            }
+            x += 1;
+        }
+        Ok(())
+    }
+
+    /// Pushes content-product state `i` onto `stack` unless the current
+    /// walk has reached it already.
+    fn reach(
+        &mut self,
+        i: usize,
+        stack: &mut Vec<(StateId, StateId)>,
+        item: (StateId, StateId),
+    ) -> bool {
+        if self.seen[i] == self.walks {
+            return false;
+        }
+        self.seen[i] = self.walks;
+        stack.push(item);
+        true
+    }
+
+    /// How to build a tree for pair `x` from pairs marked `known`: text when
+    /// both states accept it, else the first symbol whose content product
+    /// accepts a word over known pairs, with its shortest such word — the
+    /// breadth-first search [`Nta::witness`] runs on the built product.
+    fn recipe(&mut self, x: u32, known: impl Fn(u32) -> bool) -> Option<Recipe> {
+        let (q1, q2) = self.pairs[x as usize];
+        if self.left.text_ok(q1) && self.right.text_ok(q2) {
+            return Some(Recipe::Text);
+        }
+        let mut queue: Vec<(StateId, StateId)> = Vec::new();
+        for (s, a1, a2) in joint_contents(self.left, self.right, (q1, q2)) {
+            let w = a2.state_count();
+            self.begin_walk(a1.state_count() * w);
+            queue.clear();
+            for &p in a1.initial_states() {
+                for &q in a2.initial_states() {
+                    if self.reach(p.index() * w + q.index(), &mut queue, (p, q)) {
+                        self.pred[p.index() * w + q.index()] = None;
+                    }
+                }
+            }
+            let mut head = 0;
+            while let Some(&(p, q)) = queue.get(head) {
+                head += 1;
+                let i = p.index() * w + q.index();
+                if a1.is_final(p) && a2.is_final(q) {
+                    let mut word = Vec::new();
+                    let mut cur = i;
+                    while let Some((prev, y)) = self.pred[cur] {
+                        word.push(State(y));
+                        cur = prev as usize;
+                    }
+                    word.reverse();
+                    return Some(Recipe::Elem(s, word));
+                }
+                for &(r, p2) in a1.transitions_from(p) {
+                    for &(s2, q2) in a2.transitions_from(q) {
+                        let j = p2.index() * w + q2.index();
+                        if self.seen[j] == self.walks {
+                            continue;
+                        }
+                        let y = self.ids[&(r, s2)];
+                        if known(y) {
+                            self.reach(j, &mut queue, (p2, q2));
+                            self.pred[j] = Some((i as u32, y));
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The `(σ, δ₁(q₁, σ), δ₂(q₂, σ))` content-model pairs of product pair
+/// `(q₁, q₂)`, in symbol order.
+fn joint_contents<'a>(
+    left: &'a Nta,
+    right: &'a Nta,
+    (q1, q2): (State, State),
+) -> impl Iterator<Item = (Symbol, &'a Nfa<State>, &'a Nfa<State>)> + 'a {
+    (0..left.n_symbols).filter_map(move |sym| {
+        let s = Symbol(sym as u32);
+        Some((s, left.content(q1, s)?, right.content(q2, s)?))
+    })
 }
 
 /// Keeps only transitions whose symbol survives `remap` (indexed by state),
@@ -929,6 +1185,59 @@ mod tests {
         assert!(!i.accepts(&no1)); // fails L2
         assert!(!i.accepts(&no2)); // fails L1
         assert!(n2.accepts(&no2));
+    }
+
+    #[test]
+    fn intersect_budget_covers_the_content_products() {
+        use tpx_trees::budget::{Budget, ExhaustReason};
+        let al = alpha();
+        let n = simple_nta(&al);
+        let grid = (n.state_count() * n.state_count()) as u64;
+        let unlimited = BudgetHandle::unlimited();
+        n.intersect(&n, &unlimited).unwrap();
+        assert!(
+            unlimited.fuel_spent() > grid,
+            "the content products must be charged on top of the grid"
+        );
+        let grid_only = Budget::default().with_fuel(grid).start();
+        let err = n.intersect(&n, &grid_only).unwrap_err();
+        assert_eq!(err.reason, ExhaustReason::Fuel);
+    }
+
+    #[test]
+    fn intersect_witness_is_the_witness_of_the_trimmed_product() {
+        let budget = BudgetHandle::unlimited();
+        let mut al = alpha();
+        let eager = |a: &Nta, b: &Nta| {
+            a.intersect(b, &budget)
+                .and_then(|p| p.trim(&budget))
+                .and_then(|p| p.witness(&budget))
+                .unwrap()
+        };
+        let n1 = simple_nta(&al);
+        // Root a with at least two children, b-leaves or text.
+        let mut b2 = NtaBuilder::new(&al);
+        b2.root("p0");
+        b2.rule("p0", "a", "px px px*");
+        b2.rule("px", "b", "pt");
+        b2.text_rule("px");
+        b2.text_rule("pt");
+        let n2 = b2.finish();
+        let w = n1
+            .intersect_witness(&n2, &budget)
+            .unwrap()
+            .expect("non-empty");
+        assert_eq!(w, parse_tree(r#"a("τ0" "τ1")"#, &mut al).unwrap());
+        assert_eq!(Some(w), eager(&n1, &n2));
+        assert_eq!(n2.intersect_witness(&n1, &budget).unwrap(), eager(&n2, &n1));
+        // Disjoint roots: the product is empty.
+        let mut b3 = NtaBuilder::new(&al);
+        b3.root("r");
+        b3.rule("r", "c", "%eps");
+        let n3 = b3.finish();
+        assert_eq!(n1.intersect_witness(&n3, &budget).unwrap(), None);
+        let zero = tpx_trees::budget::Budget::default().with_fuel(0).start();
+        assert!(n1.intersect_witness(&n2, &zero).is_err());
     }
 
     #[test]

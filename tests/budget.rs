@@ -8,7 +8,7 @@
 
 use textpres::dtl::{DtlState, Rhs};
 use textpres::engine::{
-    Budget, CheckOptions, Decider, DtlDecider, Engine, OutputConformanceDecider,
+    Budget, CheckOptions, Decider, DecisionError, DtlDecider, Engine, OutputConformanceDecider,
     TextRetentionDecider, TopdownDecider,
 };
 use textpres::format::parse_case;
@@ -221,6 +221,60 @@ fn topdown_transducer_fuel_stays_linear_on_a_deep_selector() {
         .expect("the transducer stage reports fuel");
     let bound = 4 * alpha.len() as u64 * t.state_count() as u64;
     assert!(fuel <= bound, "topdown/transducer charged {fuel} > {bound}");
+}
+
+/// The product witness searches behind `topdown/decide` (Lemma 4.10's
+/// `M ∩ N`) and `conformance/decide` (`bad ∩ N`) charge reproducible fuel:
+/// two fresh engines charge the same fuel in every stage of a cold check.
+/// A budget one unit short of the check's total runs out inside the decide
+/// stage and never yields a verdict.
+#[test]
+fn product_search_fuel_is_reproducible_and_exhausts_in_decide() {
+    let (alpha, comb) = tpx_workload::comb_schema(8);
+    let (_, swapper) = tpx_workload::transducers::suite(&alpha, 8)
+        .into_iter()
+        .find(|(kind, _)| *kind == tpx_workload::TransducerKind::Rearranging)
+        .expect("the suite has a swapper");
+    let deciders: [(Box<dyn Decider>, &str); 2] = [
+        (Box::new(TopdownDecider::new(&swapper)), "topdown/decide"),
+        (
+            Box::new(OutputConformanceDecider::new(&swapper, &comb)),
+            "conformance/decide",
+        ),
+    ];
+    for (decider, decide_stage) in &deciders {
+        let generous = CheckOptions::with_budget(Budget::default().with_fuel(5_000_000));
+        let runs: Vec<Vec<(&str, Option<u64>)>> = (0..2)
+            .map(|_| {
+                let v = Engine::new()
+                    .check_governed(decider.as_ref(), &comb, &generous)
+                    .expect("a generous budget decides");
+                v.stats.stages.iter().map(|s| (s.stage, s.fuel)).collect()
+            })
+            .collect();
+        assert_eq!(
+            runs[0], runs[1],
+            "{decide_stage}: fuel differs between fresh engines"
+        );
+        let decide = runs[0]
+            .iter()
+            .find(|(stage, _)| stage == decide_stage)
+            .and_then(|(_, f)| *f)
+            .unwrap_or_else(|| panic!("{decide_stage} reports no fuel"));
+        assert!(decide > 0, "{decide_stage} charged nothing");
+        let total: u64 = runs[0].iter().filter_map(|(_, f)| *f).sum();
+        let exact = CheckOptions::with_budget(Budget::default().with_fuel(total));
+        Engine::new()
+            .check_governed(decider.as_ref(), &comb, &exact)
+            .unwrap_or_else(|e| panic!("{decide_stage}: the exact total must decide: {e}"));
+        let short = CheckOptions::with_budget(Budget::default().with_fuel(total - 1));
+        match Engine::new().check_governed(decider.as_ref(), &comb, &short) {
+            Err(DecisionError::ResourceExhausted { stage, .. }) => {
+                assert_eq!(stage, *decide_stage, "exhausted in the wrong stage");
+            }
+            other => panic!("{decide_stage}: one unit short must exhaust, got {other:?}"),
+        }
+    }
 }
 
 #[test]
